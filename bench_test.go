@@ -210,7 +210,7 @@ func BenchmarkExtensionBC(b *testing.B) {
 	p := core.Prepare(in, benchScale())
 	sources := []uint32{0, p.Src, 1, 2}
 	b.Run("gb", func(b *testing.B) {
-		AT := p.ABool.Transpose()
+		AT := p.ABool().Transpose()
 		ctx := grb.NewGaloisBLASContext(4)
 		srcs := make([]int, len(sources))
 		for i, s := range sources {
@@ -218,7 +218,7 @@ func BenchmarkExtensionBC(b *testing.B) {
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := lagraph.BC(ctx, p.ABool, AT, srcs); err != nil {
+			if _, err := lagraph.BC(ctx, p.ABool(), AT, srcs); err != nil {
 				b.Fatal(err)
 			}
 		}

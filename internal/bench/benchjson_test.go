@@ -132,6 +132,16 @@ func TestCompareCatchesRegressions(t *testing.T) {
 	}
 }
 
+// TestCompareIgnoresRelaxations: Lonestar sssp's relaxation count moves
+// with the schedule, so the gate must not compare it.
+func TestCompareIgnoresRelaxations(t *testing.T) {
+	base, fresh := sampleReport(), sampleReport()
+	base.Kernels[0].Relaxations, fresh.Kernels[0].Relaxations = 608, 613
+	if v := Compare(base, fresh, DefaultTolerances()); len(v) != 0 {
+		t.Fatalf("a relaxation-count difference produced findings: %v", v)
+	}
+}
+
 // TestCompareExtraFreshCellsAllowed: new cells in the fresh run (a new
 // app or graph added to the bench set) are not regressions.
 func TestCompareExtraFreshCellsAllowed(t *testing.T) {
@@ -168,11 +178,17 @@ func TestBenchKernelsDeterministic(t *testing.T) {
 		if a[i].Check == "" {
 			t.Fatalf("cell %s/%s/%s has empty digest", a[i].App, a[i].System, a[i].Graph)
 		}
-		if a[i].Check != b[i].Check || a[i].Rounds != b[i].Rounds || a[i].Bytes != b[i].Bytes {
-			t.Fatalf("cell %s/%s/%s not deterministic: (%s,%d,%d) vs (%s,%d,%d)",
+		// Relaxations are left out on purpose: they depend on the schedule.
+		if a[i].Check != b[i].Check || a[i].Rounds != b[i].Rounds || a[i].Bytes != b[i].Bytes ||
+			a[i].BytesElided != b[i].BytesElided {
+			t.Fatalf("cell %s/%s/%s not deterministic: (%s,%d,%d,%d) vs (%s,%d,%d,%d)",
 				a[i].App, a[i].System, a[i].Graph,
-				a[i].Check, a[i].Rounds, a[i].Bytes,
-				b[i].Check, b[i].Rounds, b[i].Bytes)
+				a[i].Check, a[i].Rounds, a[i].Bytes, a[i].BytesElided,
+				b[i].Check, b[i].Rounds, b[i].Bytes, b[i].BytesElided)
+		}
+		if a[i].App == "sssp" && a[i].System == "LS" && (a[i].Rounds != 0 || a[i].Relaxations <= 0) {
+			t.Fatalf("LS sssp on %s: rounds %d, relaxations %d; want the relaxation count in relaxations only",
+				a[i].Graph, a[i].Rounds, a[i].Relaxations)
 		}
 	}
 	// The matrix systems materialize measurably more bytes than the

@@ -134,7 +134,7 @@ func runIncrementalBFS(ctx *grb.Context, p *Prepared, spec RunSpec) ([]uint32, i
 	if warm && st.src == p.Src && len(st.levels) == n {
 		// The (min, hop) relaxation ignores matrix values, so the prepared
 		// weight matrix serves directly — no per-run cast of the pattern.
-		levels, r, err := lagraph.IncrementalBFS(ctx, p.AW32, int(p.Src), st.levels, adds)
+		levels, r, err := lagraph.IncrementalBFS(ctx, p.AW32(), int(p.Src), st.levels, adds)
 		if err != nil {
 			return nil, r, err
 		}
@@ -144,7 +144,7 @@ func runIncrementalBFS(ctx *grb.Context, p *Prepared, spec RunSpec) ([]uint32, i
 	if spec.Mutation != nil {
 		incrFallback("bfs", n)
 	}
-	dist, r, err := lagraph.BFS(ctx, p.ABool, int(p.Src))
+	dist, r, err := lagraph.BFS(ctx, p.ABool(), int(p.Src))
 	if err != nil {
 		return nil, r, err
 	}
@@ -167,7 +167,7 @@ func runIncrementalCC(ctx *grb.Context, p *Prepared, spec RunSpec) ([]uint32, in
 	if spec.Mutation != nil {
 		incrFallback("cc", n)
 	}
-	f, r, err := lagraph.CCFastSV(ctx, p.ASymU32)
+	f, r, err := lagraph.CCFastSV(ctx, p.ASymU32())
 	if err != nil {
 		return nil, r, err
 	}
@@ -185,7 +185,7 @@ func runIncrementalPR(ctx *grb.Context, p *Prepared, spec RunSpec) (*grb.Vector[
 	n := int(p.G.NumNodes)
 	st, adds, warm := incrTake(spec)
 	if warm && st.n == n && len(st.traj) == opt.Iterations {
-		pr, traj, err := lagraph.IncrementalPageRank(ctx, p.AFloat, opt, st.traj, adds)
+		pr, traj, err := lagraph.IncrementalPageRank(ctx, p.AFloat(), opt, st.traj, adds)
 		if err != nil {
 			return nil, opt.Iterations, err
 		}
@@ -195,7 +195,7 @@ func runIncrementalPR(ctx *grb.Context, p *Prepared, spec RunSpec) (*grb.Vector[
 	if spec.Mutation != nil {
 		incrFallback("pr", n)
 	}
-	pr, traj, err := lagraph.PageRankResidualTraj(ctx, p.AFloat, opt)
+	pr, traj, err := lagraph.PageRankResidualTraj(ctx, p.AFloat(), opt)
 	if err != nil {
 		return nil, opt.Iterations, err
 	}

@@ -18,9 +18,9 @@ func ReferenceCheck(spec RunSpec) (uint64, bool) {
 	case BFS:
 		return checksum32(verify.BFSLevels(p.G, p.Src)), true
 	case CC:
-		return componentCheck(verify.Components(p.Sym)), true
+		return componentCheck(verify.Components(p.Sym())), true
 	case KTruss:
-		return uint64(verify.KTrussEdges(p.Sym, p.In.KTrussK())), true
+		return uint64(verify.KTrussEdges(p.Sym(), p.In.KTrussK())), true
 	case PR:
 		if spec.System == LS {
 			return 0, false
@@ -30,7 +30,7 @@ func ReferenceCheck(spec RunSpec) (uint64, bool) {
 	case SSSP:
 		return checksum64(verify.Dijkstra(p.G, p.Src)), true
 	case TC:
-		return uint64(verify.TriangleCount(p.Sym)), true
+		return uint64(verify.TriangleCount(p.Sym())), true
 	}
 	return 0, false
 }

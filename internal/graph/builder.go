@@ -6,7 +6,8 @@ import "sort"
 type DupPolicy int
 
 const (
-	// KeepFirst keeps the weight of the first occurrence of a duplicate edge.
+	// KeepFirst keeps the weight of the duplicate edge added first (in
+	// AddEdge order).
 	KeepFirst DupPolicy = iota
 	// MinWeight keeps the minimum weight among duplicates.
 	MinWeight
@@ -95,12 +96,75 @@ func (b *Builder) Build() *Graph {
 	return g
 }
 
+// BuildSorted converts the accumulated edge list to a CSR graph whose
+// adjacency lists are sorted by destination, keeping duplicates. The sort
+// is stable: parallel edges stay in insertion order. It runs as two stable
+// counting-sort passes — by destination, then by source — so it costs
+// O(n + m) with no comparison sort of any row.
+func (b *Builder) BuildSorted() *Graph {
+	n := int(b.n)
+	m := len(b.src)
+	// Pass 1: bucket edges by destination, keeping insertion order within a
+	// bucket. Only the source and weight need storing; the destination is
+	// the bucket.
+	dstPtr := make([]uint64, n+1)
+	for _, v := range b.dst {
+		dstPtr[v+1]++
+	}
+	for i := 0; i < n; i++ {
+		dstPtr[i+1] += dstPtr[i]
+	}
+	bySrc := make([]uint32, m)
+	var byWt []uint32
+	if b.weighted {
+		byWt = make([]uint32, m)
+	}
+	cursor := make([]uint64, n)
+	copy(cursor, dstPtr[:n])
+	for e, v := range b.dst {
+		p := cursor[v]
+		cursor[v] = p + 1
+		bySrc[p] = b.src[e]
+		if byWt != nil {
+			byWt[p] = b.wt[e]
+		}
+	}
+	// Pass 2: scatter into rows in destination order, so every row comes
+	// out sorted and ties keep their pass-1 (insertion) order.
+	rowPtr := make([]uint64, n+1)
+	for _, u := range b.src {
+		rowPtr[u+1]++
+	}
+	for i := 0; i < n; i++ {
+		rowPtr[i+1] += rowPtr[i]
+	}
+	colIdx := make([]uint32, m)
+	var wt []uint32
+	if b.weighted {
+		wt = make([]uint32, m)
+	}
+	copy(cursor, rowPtr[:n])
+	for v := 0; v < n; v++ {
+		for p := dstPtr[v]; p < dstPtr[v+1]; p++ {
+			u := bySrc[p]
+			q := cursor[u]
+			cursor[u] = q + 1
+			colIdx[q] = uint32(v)
+			if wt != nil {
+				wt[q] = byWt[p]
+			}
+		}
+	}
+	return &Graph{NumNodes: b.n, RowPtr: rowPtr, ColIdx: colIdx, Wt: wt}
+}
+
 // BuildDedup builds a CSR graph with sorted adjacency lists and duplicate
-// edges combined according to policy. Self-loops are preserved; callers that
-// need them removed should filter before adding.
+// edges combined according to policy. Rows come from BuildSorted, whose
+// stable sort keeps parallel edges in insertion order, so KeepFirst keeps
+// the weight added first. Self-loops are preserved; callers that need them
+// removed should filter before adding.
 func (b *Builder) BuildDedup(policy DupPolicy) *Graph {
-	g := b.Build()
-	g.SortAdjacency()
+	g := b.BuildSorted()
 	n := int(g.NumNodes)
 	newRowPtr := make([]uint64, n+1)
 	newCol := g.ColIdx[:0] // compact in place: write index never passes read index

@@ -302,9 +302,22 @@ func (g *Graph) DegreeOrder() []uint32 {
 }
 
 // Relabel returns a new graph with vertex u renamed perm[u]. perm must be a
-// permutation of [0, NumNodes).
+// permutation of [0, NumNodes). Each adjacency list keeps g's edge order.
 func (g *Graph) Relabel(perm []uint32) *Graph {
+	return g.relabeled(perm).Build()
+}
+
+// RelabelSorted is Relabel with every adjacency list sorted by its new
+// destination IDs (parallel edges keep their order), built by counting
+// sort rather than by sorting each row.
+func (g *Graph) RelabelSorted(perm []uint32) *Graph {
+	return g.relabeled(perm).BuildSorted()
+}
+
+// relabeled loads g's edges, renamed by perm, into a builder.
+func (g *Graph) relabeled(perm []uint32) *Builder {
 	b := NewBuilder(g.NumNodes, g.Wt != nil)
+	b.Reserve(int(g.NumEdges()))
 	for u := uint32(0); u < g.NumNodes; u++ {
 		lo, hi := g.RowPtr[u], g.RowPtr[u+1]
 		for e := lo; e < hi; e++ {
@@ -315,7 +328,7 @@ func (g *Graph) Relabel(perm []uint32) *Graph {
 			b.AddEdge(perm[u], perm[g.ColIdx[e]], w)
 		}
 	}
-	return b.Build()
+	return b
 }
 
 // LowerTriangular returns the subgraph keeping only edges (u,v) with v < u.

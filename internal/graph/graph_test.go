@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -102,6 +103,68 @@ func TestDedupPolicies(t *testing.T) {
 	g3 := b3.BuildDedup(KeepFirst)
 	if g3.OutWeights(0)[0] != 9 {
 		t.Fatalf("KeepFirst dedup: w=%v", g3.Wt)
+	}
+}
+
+// TestBuildDedupKeepFirstLongRow: a row with more than a dozen entries,
+// every destination twice with different weights, keeps each edge's first
+// weight. Rows that long used to go through an unstable sort, which could
+// put a later duplicate first.
+func TestBuildDedupKeepFirstLongRow(t *testing.T) {
+	const dsts = 40
+	b := NewBuilder(dsts+1, true)
+	for pass := uint32(0); pass < 2; pass++ {
+		for i := uint32(0); i < dsts; i++ {
+			v := (i*17 + 3) % dsts // scrambled destination order
+			b.AddEdge(0, v+1, 100*pass+v)
+		}
+	}
+	g := b.BuildDedup(KeepFirst)
+	if g.OutDegree(0) != dsts {
+		t.Fatalf("row 0 has %d edges after dedup, want %d", g.OutDegree(0), dsts)
+	}
+	for e, v := range g.OutEdges(0) {
+		if w := g.OutWeights(0)[e]; w != v-1 {
+			t.Fatalf("edge (0,%d) kept weight %d, want the first occurrence's %d", v, w, v-1)
+		}
+	}
+}
+
+// TestBuildSortedIsStableRowSort checks the counting-sort build against
+// Build followed by a stable sort of every row, on random multigraphs.
+func TestBuildSortedIsStableRowSort(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 50; trial++ {
+		n := uint32(1 + r.Intn(30))
+		weighted := trial%2 == 0
+		b := NewBuilder(n, weighted)
+		for i, m := 0, r.Intn(400); i < m; i++ {
+			b.AddEdge(uint32(r.Intn(int(n))), uint32(r.Intn(int(n))), uint32(r.Intn(5)))
+		}
+		want := b.Build()
+		for u := uint32(0); u < n; u++ {
+			lo, hi := want.RowPtr[u], want.RowPtr[u+1]
+			idx := make([]int, hi-lo)
+			for i := range idx {
+				idx[i] = int(lo) + i
+			}
+			adj := want.ColIdx
+			sort.SliceStable(idx, func(i, j int) bool { return adj[idx[i]] < adj[idx[j]] })
+			var col, wt []uint32
+			for _, e := range idx {
+				col = append(col, adj[e])
+				if weighted {
+					wt = append(wt, want.Wt[e])
+				}
+			}
+			copy(want.ColIdx[lo:hi], col)
+			if weighted {
+				copy(want.Wt[lo:hi], wt)
+			}
+		}
+		if got := b.BuildSorted(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: BuildSorted differs from a stable row sort", trial)
+		}
 	}
 }
 

@@ -36,7 +36,6 @@ func (rec *Recorder) Count() int64 {
 // record appends one entry. Offsets are relative to the first recorded
 // arrival so a replayed session starts immediately.
 func (rec *Recorder) record(method, path string, body []byte) {
-	now := time.Now()
 	compact := &bytes.Buffer{}
 	if err := json.Compact(compact, body); err != nil {
 		// Not JSON; record verbatim as a JSON string so the line stays
@@ -46,6 +45,10 @@ func (rec *Recorder) record(method, path string, body []byte) {
 	}
 	rec.mu.Lock()
 	defer rec.mu.Unlock()
+	// Stamped under the lock: entries are written in lock order, so a
+	// timestamp taken before it could land after a later one and make the
+	// session's offsets go backwards.
+	now := time.Now()
 	if rec.n == 0 {
 		rec.epoch = now
 	}

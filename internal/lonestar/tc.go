@@ -82,11 +82,10 @@ func TriangleCount(g *graph.Graph, opt Options) (int64, error) {
 
 // SortByDegree returns g relabeled by decreasing degree with sorted
 // adjacency — the preprocessing Lonestar's tc applies (its cost is excluded
-// from the reported runtime, as in the study).
+// from the reported runtime, as in the study). The relabeled edges go
+// straight into a counting-sort build, so no row is comparison-sorted.
 func SortByDegree(g *graph.Graph) *graph.Graph {
-	rel := g.Relabel(g.DegreeOrder())
-	rel.SortAdjacency()
-	return rel
+	return g.RelabelSorted(g.DegreeOrder())
 }
 
 // validateSymmetricSorted is used by tests to assert tc preconditions.

@@ -322,49 +322,124 @@ func (s *Store) Deltas(name string, from, to uint64) ([]DeltaBatch, error) {
 // canonical CSR: the result is bit-for-bit what a fresh import of the net
 // edge set produces — sorted, deduplicated adjacency with the last upsert's
 // weight — so compaction and fresh ingest are indistinguishable on disk.
+// Upserts grow the vertex count to cover their endpoints (even when a later
+// op deletes the edge again); deletes never grow it.
+//
+// The work is one row-wise merge of the base CSR with the net ops sorted by
+// edge: O(n + m) plus a sort of the ops, with no per-edge hashing and no
+// global sort. Base rows are expected sorted and duplicate-free, as every
+// import and generator writes them; a row that is not is put in canonical
+// form first, its last occurrence of an edge winning.
 func MaterializeDeltas(base *graph.Graph, batches []DeltaBatch) *graph.Graph {
-	edges := make(map[uint64]uint32, base.NumEdges())
-	key := func(u, v uint32) uint64 { return uint64(u)<<32 | uint64(v) }
-	for u := uint32(0); u < base.NumNodes; u++ {
-		lo, hi := base.RowPtr[u], base.RowPtr[u+1]
-		for e := lo; e < hi; e++ {
-			w := uint32(0)
-			if base.Wt != nil {
-				w = base.Wt[e]
-			}
-			edges[key(u, base.ColIdx[e])] = w
-		}
-	}
 	n := base.NumNodes
+	var ops []DeltaOp
 	for _, b := range batches {
 		for _, op := range b.Ops {
-			if op.Del {
-				delete(edges, key(op.Src, op.Dst))
-				continue
-			}
-			edges[key(op.Src, op.Dst)] = op.W
-			if op.Src >= n {
-				n = op.Src + 1
-			}
-			if op.Dst >= n {
-				n = op.Dst + 1
+			if !op.Del {
+				n = max(n, op.Src+1, op.Dst+1)
 			}
 		}
+		ops = append(ops, b.Ops...)
 	}
-	keys := make([]uint64, 0, len(edges))
-	for k := range edges {
-		keys = append(keys, k)
+	ops = netDeltaOps(ops)
+
+	weighted := base.Weighted()
+	m := base.NumEdges() + uint64(len(ops))
+	rowPtr := make([]uint64, n+1)
+	colIdx := make([]uint32, 0, m)
+	var wt []uint32
+	if weighted {
+		wt = make([]uint32, 0, m)
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	b := graph.NewBuilder(n, base.Weighted())
-	b.Reserve(len(keys))
-	for _, k := range keys {
-		b.AddEdge(uint32(k>>32), uint32(k), edges[k])
+	for u := uint32(0); u < n; u++ {
+		var adj, aw []uint32
+		if u < base.NumNodes {
+			lo, hi := base.RowPtr[u], base.RowPtr[u+1]
+			adj = base.ColIdx[lo:hi]
+			if weighted {
+				aw = base.Wt[lo:hi]
+			}
+			adj, aw = canonicalRow(adj, aw)
+		}
+		// Merge: copy the base edges up to each op's destination in bulk,
+		// then apply the op, which replaces or removes an equal base edge.
+		i := 0
+		for len(ops) > 0 && ops[0].Src == u {
+			op := ops[0]
+			ops = ops[1:]
+			i0 := i
+			for i < len(adj) && adj[i] < op.Dst {
+				i++
+			}
+			colIdx = append(colIdx, adj[i0:i]...)
+			if weighted {
+				wt = append(wt, aw[i0:i]...)
+			}
+			if i < len(adj) && adj[i] == op.Dst {
+				i++
+			}
+			if !op.Del {
+				colIdx = append(colIdx, op.Dst)
+				if weighted {
+					wt = append(wt, op.W)
+				}
+			}
+		}
+		colIdx = append(colIdx, adj[i:]...)
+		if weighted {
+			wt = append(wt, aw[i:]...)
+		}
+		rowPtr[u+1] = uint64(len(colIdx))
 	}
-	// Keys are unique and pre-sorted, so the dedup pass is a no-op; it runs
-	// anyway so the output goes through the exact code path a fresh import
-	// takes, which is what makes the byte-identity guarantee trivial.
-	return b.BuildDedup(graph.KeepFirst)
+	return &graph.Graph{NumNodes: n, RowPtr: rowPtr, ColIdx: colIdx, Wt: wt}
+}
+
+// netDeltaOps reduces an op sequence to one op per edge — the last one, so
+// delete-then-readd lands as the re-added edge — sorted by (Src, Dst).
+func netDeltaOps(ops []DeltaOp) []DeltaOp {
+	sort.SliceStable(ops, func(i, j int) bool {
+		if ops[i].Src != ops[j].Src {
+			return ops[i].Src < ops[j].Src
+		}
+		return ops[i].Dst < ops[j].Dst
+	})
+	out := ops[:0]
+	for i, op := range ops {
+		if i+1 < len(ops) && ops[i+1].Src == op.Src && ops[i+1].Dst == op.Dst {
+			continue // a later op on the same edge wins
+		}
+		out = append(out, op)
+	}
+	return out
+}
+
+// canonicalRow returns a base row sorted by destination with one entry per
+// destination, the last occurrence's weight winning. A row that already is
+// (the normal case) is returned as is, without copying.
+func canonicalRow(adj, aw []uint32) ([]uint32, []uint32) {
+	sorted := true
+	for i := 1; i < len(adj) && sorted; i++ {
+		sorted = adj[i-1] < adj[i]
+	}
+	if sorted {
+		return adj, aw
+	}
+	idx := make([]int, len(adj))
+	for i := range idx {
+		idx[i] = i
+	}
+	sort.SliceStable(idx, func(i, j int) bool { return adj[idx[i]] < adj[idx[j]] })
+	var na, nw []uint32
+	for k, e := range idx {
+		if k+1 < len(idx) && adj[idx[k+1]] == adj[e] {
+			continue
+		}
+		na = append(na, adj[e])
+		if aw != nil {
+			nw = append(nw, aw[e])
+		}
+	}
+	return na, nw
 }
 
 // Snapshot materializes name at the given epoch: the base object plus every

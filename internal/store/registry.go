@@ -322,8 +322,7 @@ func (r *Registry) loadSnapshot(base string, epoch uint64, sc gen.Scale, snapNam
 		// are charged to both entries — over-counting, never under.)
 		g = bh.Graph()
 	case err == nil:
-		g = MaterializeDeltas(bh.Graph(), batches)
-		g.SortAdjacency()
+		g = MaterializeDeltas(bh.Graph(), batches) // rows come out sorted
 		g.BuildIn()
 	case errors.Is(err, ErrEpochCompacted):
 		g, err = r.store.Snapshot(base, epoch)

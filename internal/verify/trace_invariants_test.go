@@ -111,12 +111,12 @@ func TestPullDensifiesMoreThanPushPull(t *testing.T) {
 	var pullLv, ppLv *grb.Vector[int32]
 	pull := densifyBytes(func() error {
 		var err error
-		pullLv, _, err = lagraph.BFSPull(ctx, p.ABool, src)
+		pullLv, _, err = lagraph.BFSPull(ctx, p.ABool(), src)
 		return err
 	})
 	pp := densifyBytes(func() error {
 		var err error
-		ppLv, _, _, err = lagraph.BFSPushPull(ctx, p.ABool, src)
+		ppLv, _, _, err = lagraph.BFSPushPull(ctx, p.ABool(), src)
 		return err
 	})
 	if pull <= pp {
