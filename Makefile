@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: build test race test-parallel check vet lint lint-stale \
+.PHONY: build test race test-parallel check vet perfbench-vet lint lint-stale \
 	lint-fixtures fmt fuzz-smoke clean bench-fresh bench-gate bench-baseline
 
 build:
@@ -65,6 +65,13 @@ VET_CHECKS = atomic bools buildtag copylocks errorsas loopclosure lostcancel \
 vet:
 	$(GO) vet $(foreach c,$(VET_CHECKS),-$(c)) ./...
 
+# The benchmark (_perfbench) is its own module, and `./...` skips
+# directories starting with `_`, so the build above never compiles it.
+# Vetting it here makes an exported-API break in core fail `check` instead
+# of failing only when the benchmark runs.
+perfbench-vet:
+	$(GO) -C _perfbench vet ./...
+
 # graphlint (cmd/graphlint) enforces the invariants go vet cannot see:
 # deterministic map handling in kernels, disjoint writes in galois loop
 # bodies, no stray goroutines, lease/arena/span release on every CFG
@@ -92,7 +99,7 @@ lint-fixtures:
 # Lint fixtures deliberately contain code gofmt and vet would object to;
 # they live under testdata/, which the go tool skips, and are excluded
 # from the formatting gate here.
-check: build vet lint
+check: build vet perfbench-vet lint
 	@fmtout=$$(gofmt -l . | grep -v 'internal/lint/testdata/' || true); \
 	if [ -n "$$fmtout" ]; then \
 		echo "gofmt needed on:"; echo "$$fmtout"; exit 1; fi

@@ -160,31 +160,11 @@ func ParseVariant(s string) (Variant, error) {
 	return VDefault, fmt.Errorf("core: unknown variant %q", s)
 }
 
-// ValidVariant reports whether the variant applies to the (app, system)
-// pair — the combinations dispatch actually routes. The default variant
-// applies everywhere.
+// ValidVariant reports whether the (app, system, variant) cell has a row in
+// the cell table, that is, whether Run can run it. The default variant
+// applies to every app on every system.
 func ValidVariant(a App, s System, v Variant) bool {
-	switch v {
-	case VDefault:
-		return true
-	case VLSSV:
-		return a == CC && s == LS
-	case VLSSoA:
-		return a == PR && s == LS
-	case VLSNoTile:
-		return a == SSSP && s == LS
-	case VGBRes:
-		return a == PR && s != LS
-	case VGBSort, VGBLL:
-		return a == TC && s != LS
-	case VFused:
-		return (a == BFS || a == PR || a == SSSP) && s != LS
-	case VAdaptive:
-		return (a == BFS || a == PR || a == SSSP || a == CC) && s != LS
-	case VIncremental:
-		return (a == BFS || a == CC || a == PR) && s != LS
-	}
-	return false
+	return lookupCell(a, s, v) != nil
 }
 
 // Label renders a (system, variant) pair the way the paper does.

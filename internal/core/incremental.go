@@ -6,6 +6,7 @@ import (
 	"graphstudy/internal/graph"
 	"graphstudy/internal/grb"
 	"graphstudy/internal/lagraph"
+	"graphstudy/internal/lonestar"
 	"graphstudy/internal/trace"
 )
 
@@ -116,89 +117,95 @@ func incrStore(spec RunSpec, st *incrState) {
 	incrMu.Unlock()
 }
 
-// incrFallback records that a VIncremental run could not reuse prior state
-// and is recomputing from scratch, so the decision is auditable from the
-// trace (NNZOut carries the full problem size that had to be redone).
-func incrFallback(reason string, n int) {
+// incrFallback records that a VIncremental run on a mutation lineage could
+// not reuse prior state and is recomputing from scratch, so the decision is
+// auditable from the trace (NNZOut carries the full problem size that had to
+// be redone). A run without a lineage keeps no state and records nothing.
+func incrFallback(spec RunSpec, n int) {
+	if spec.Mutation == nil {
+		return
+	}
 	sp := trace.Begin(trace.CatDelta, "delta.fallback")
 	sp.NNZOut = int64(n)
-	_ = reason // named for the call sites; the span op is the audit record
 	sp.End()
 }
 
-// runIncrementalBFS answers BFS for the spec's snapshot, warm-starting from
-// the previous snapshot's levels when the delta is additions-only.
-func runIncrementalBFS(ctx *grb.Context, p *Prepared, spec RunSpec) ([]uint32, int, error) {
-	n := int(p.G.NumNodes)
-	st, adds, warm := incrTake(spec)
-	if warm && st.src == p.Src && len(st.levels) == n {
-		// The (min, hop) relaxation ignores matrix values, so the prepared
-		// weight matrix serves directly — no per-run cast of the pattern.
-		levels, r, err := lagraph.IncrementalBFS(ctx, p.AW32(), int(p.Src), st.levels, adds)
-		if err != nil {
-			return nil, r, err
+// bindIncrementalBFS answers BFS for the spec's snapshot, warm-starting from
+// the previous snapshot's levels when the delta is additions-only. The
+// (min, hop) relaxation ignores matrix values, so the warm path reads the
+// prepared weight matrix directly — no per-run cast of the pattern.
+func bindIncrementalBFS(p *Prepared, spec RunSpec) timed {
+	warmA, coldA := p.AW32(), p.ABool()
+	return func(ctx *grb.Context, _ lonestar.Options) (Result, error) {
+		n := int(p.G.NumNodes)
+		st, adds, warm := incrTake(spec)
+		if warm && st.src == p.Src && len(st.levels) == n {
+			levels, r, err := lagraph.IncrementalBFS(ctx, warmA, int(p.Src), st.levels, adds)
+			if err != nil {
+				return Result{Rounds: r}, err
+			}
+			incrStore(spec, &incrState{n: n, src: p.Src, levels: levels})
+			return levelsAnswer(levels, r, nil)
 		}
+		incrFallback(spec, n)
+		dist, r, err := lagraph.BFS(ctx, coldA, int(p.Src))
+		if err != nil {
+			return Result{Rounds: r}, err
+		}
+		levels := lagraph.BFSLevels(dist)
 		incrStore(spec, &incrState{n: n, src: p.Src, levels: levels})
-		return levels, r, nil
+		return levelsAnswer(levels, r, nil)
 	}
-	if spec.Mutation != nil {
-		incrFallback("bfs", n)
-	}
-	dist, r, err := lagraph.BFS(ctx, p.ABool(), int(p.Src))
-	if err != nil {
-		return nil, r, err
-	}
-	levels := lagraph.BFSLevels(dist)
-	incrStore(spec, &incrState{n: n, src: p.Src, levels: levels})
-	return levels, r, nil
 }
 
-// runIncrementalCC answers connected components for the spec's snapshot.
+// bindIncrementalCC answers connected components for the spec's snapshot.
 // Additions only merge components, so the warm path is a union-find over
 // the previous labels — work proportional to the delta.
-func runIncrementalCC(ctx *grb.Context, p *Prepared, spec RunSpec) ([]uint32, int, error) {
-	n := int(p.G.NumNodes)
-	st, adds, warm := incrTake(spec)
-	if warm && len(st.labels) == n {
-		labels := lagraph.IncrementalCC(st.labels, adds)
+func bindIncrementalCC(p *Prepared, spec RunSpec) timed {
+	coldA := p.ASymU32()
+	return func(ctx *grb.Context, _ lonestar.Options) (Result, error) {
+		n := int(p.G.NumNodes)
+		st, adds, warm := incrTake(spec)
+		if warm && len(st.labels) == n {
+			labels := lagraph.IncrementalCC(st.labels, adds)
+			incrStore(spec, &incrState{n: n, labels: labels})
+			return componentsAnswer(labels, 0, nil)
+		}
+		incrFallback(spec, n)
+		f, r, err := lagraph.CCFastSV(ctx, coldA)
+		if err != nil {
+			return Result{Rounds: r}, err
+		}
+		labels := lagraph.Labels(f)
 		incrStore(spec, &incrState{n: n, labels: labels})
-		return labels, 0, nil
+		return componentsAnswer(labels, r, nil)
 	}
-	if spec.Mutation != nil {
-		incrFallback("cc", n)
-	}
-	f, r, err := lagraph.CCFastSV(ctx, p.ASymU32())
-	if err != nil {
-		return nil, r, err
-	}
-	labels := lagraph.Labels(f)
-	incrStore(spec, &incrState{n: n, labels: labels})
-	return labels, r, nil
 }
 
-// runIncrementalPR answers pagerank for the spec's snapshot using the
+// bindIncrementalPR answers pagerank for the spec's snapshot using the
 // delta-residual formulation (gb-res): the warm path replays the stored
 // residual trajectory, recomputing only the dirty closure of the mutated
 // endpoints, and is bit-identical to PageRankResidual on the new snapshot.
-func runIncrementalPR(ctx *grb.Context, p *Prepared, spec RunSpec) (*grb.Vector[float64], int, error) {
-	opt := lagraph.DefaultPageRankOptions()
-	n := int(p.G.NumNodes)
-	st, adds, warm := incrTake(spec)
-	if warm && st.n == n && len(st.traj) == opt.Iterations {
-		pr, traj, err := lagraph.IncrementalPageRank(ctx, p.AFloat(), opt, st.traj, adds)
+func bindIncrementalPR(p *Prepared, spec RunSpec) timed {
+	A := p.AFloat()
+	return func(ctx *grb.Context, _ lonestar.Options) (Result, error) {
+		opt := lagraph.DefaultPageRankOptions()
+		n := int(p.G.NumNodes)
+		st, adds, warm := incrTake(spec)
+		if warm && st.n == n && len(st.traj) == opt.Iterations {
+			pr, traj, err := lagraph.IncrementalPageRank(ctx, A, opt, st.traj, adds)
+			if err != nil {
+				return Result{Rounds: opt.Iterations}, err
+			}
+			incrStore(spec, &incrState{n: n, traj: traj})
+			return ranksAnswer(lagraph.Ranks(pr), opt.Iterations, nil)
+		}
+		incrFallback(spec, n)
+		pr, traj, err := lagraph.PageRankResidualTraj(ctx, A, opt)
 		if err != nil {
-			return nil, opt.Iterations, err
+			return Result{Rounds: opt.Iterations}, err
 		}
 		incrStore(spec, &incrState{n: n, traj: traj})
-		return pr, opt.Iterations, nil
+		return ranksAnswer(lagraph.Ranks(pr), opt.Iterations, nil)
 	}
-	if spec.Mutation != nil {
-		incrFallback("pr", n)
-	}
-	pr, traj, err := lagraph.PageRankResidualTraj(ctx, p.AFloat(), opt)
-	if err != nil {
-		return nil, opt.Iterations, err
-	}
-	incrStore(spec, &incrState{n: n, traj: traj})
-	return pr, opt.Iterations, nil
 }

@@ -79,42 +79,83 @@ func TestParseVariantRoundTrip(t *testing.T) {
 	}
 }
 
+// cell names one (app, system, variant) triple in tests.
+type cell struct {
+	app App
+	sys System
+	v   Variant
+}
+
+// TestValidVariantRegistry pins the full set of runnable cells: the 47
+// triples of Table II and Figure 3, checked over the whole app x system x
+// variant grid, plus a system out of range.
 func TestValidVariantRegistry(t *testing.T) {
-	// The default variant is valid everywhere.
+	valid := []cell{
+		{BFS, SS, VDefault}, {BFS, GB, VDefault}, {BFS, LS, VDefault},
+		{BFS, SS, VFused}, {BFS, GB, VFused}, {BFS, SS, VAdaptive}, {BFS, GB, VAdaptive},
+		{BFS, SS, VIncremental}, {BFS, GB, VIncremental},
+
+		{CC, SS, VDefault}, {CC, GB, VDefault}, {CC, LS, VDefault}, {CC, LS, VLSSV},
+		{CC, SS, VAdaptive}, {CC, GB, VAdaptive}, {CC, SS, VIncremental}, {CC, GB, VIncremental},
+
+		{KTruss, SS, VDefault}, {KTruss, GB, VDefault}, {KTruss, LS, VDefault},
+
+		{PR, SS, VDefault}, {PR, GB, VDefault}, {PR, LS, VDefault}, {PR, LS, VLSSoA},
+		{PR, SS, VGBRes}, {PR, GB, VGBRes}, {PR, SS, VFused}, {PR, GB, VFused},
+		{PR, SS, VAdaptive}, {PR, GB, VAdaptive}, {PR, SS, VIncremental}, {PR, GB, VIncremental},
+
+		{SSSP, SS, VDefault}, {SSSP, GB, VDefault}, {SSSP, LS, VDefault}, {SSSP, LS, VLSNoTile},
+		{SSSP, SS, VFused}, {SSSP, GB, VFused}, {SSSP, SS, VAdaptive}, {SSSP, GB, VAdaptive},
+
+		{TC, SS, VDefault}, {TC, GB, VDefault}, {TC, LS, VDefault},
+		{TC, SS, VGBSort}, {TC, GB, VGBSort}, {TC, SS, VGBLL}, {TC, GB, VGBLL},
+	}
+	want := map[cell]bool{}
+	for _, c := range valid {
+		want[c] = true
+	}
+	if len(want) != 47 {
+		t.Fatalf("%d distinct valid cells listed, want 47", len(want))
+	}
 	for _, app := range Apps() {
 		for _, sys := range Systems() {
-			if !ValidVariant(app, sys, VDefault) {
-				t.Fatalf("ValidVariant(%v, %v, default) = false", app, sys)
+			for _, v := range append([]Variant{VDefault}, Variants()...) {
+				if got := ValidVariant(app, sys, v); got != want[cell{app, sys, v}] {
+					t.Errorf("ValidVariant(%v, %v, %q) = %v, want %v", app, sys, v, got, !got)
+				}
 			}
 		}
 	}
-	cases := []struct {
-		app  App
-		sys  System
-		v    Variant
-		want bool
-	}{
-		{BFS, GB, VFused, true},
-		{PR, SS, VFused, true},
-		{SSSP, GB, VFused, true},
-		{BFS, LS, VFused, false}, // fusion is GraphBLAS-only
-		{CC, GB, VFused, false},  // cc has no fused port
-		{PR, GB, VGBRes, true},
-		{BFS, GB, VGBRes, false},
-		{CC, LS, VLSSV, true},
-		{CC, GB, VLSSV, false},
-		{TC, SS, VGBSort, true},
-		{TC, LS, VGBSort, false},
-		{BFS, GB, VAdaptive, true},
-		{CC, SS, VAdaptive, true},
-		{PR, GB, VAdaptive, true},
-		{SSSP, SS, VAdaptive, true},
-		{BFS, LS, VAdaptive, false}, // adaptation lives in the matrix API
-		{TC, GB, VAdaptive, false},  // tc has no round loop to adapt
+	// 9 Lonestar rows and 19 matrix rows, each of those shared by SS and GB.
+	if len(cells) != 28 {
+		t.Errorf("%d rows in the cell table, want 28", len(cells))
 	}
-	for _, c := range cases {
-		if got := ValidVariant(c.app, c.sys, c.v); got != c.want {
-			t.Errorf("ValidVariant(%v, %v, %q) = %v, want %v", c.app, c.sys, c.v, got, c.want)
+	if ValidVariant(BFS, System(7), VDefault) {
+		t.Error("ValidVariant(bfs, System(7), default) = true")
+	}
+}
+
+// TestRunRejectsInvalidCells: a cell with no row in the table is an ERR
+// naming the cell, never another cell's code.
+func TestRunRejectsInvalidCells(t *testing.T) {
+	in, err := gen.ByName("rmat22")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		cell
+		msg string
+	}{
+		{cell{KTruss, GB, VFused}, `core: variant "fused" is not valid for ktruss on GB`},
+		{cell{BFS, LS, VAdaptive}, `core: variant "adaptive" is not valid for bfs on LS`},
+		{cell{TC, SS, VIncremental}, `core: variant "incremental" is not valid for tc on SS`},
+		{cell{CC, GB, VGBSort}, `core: variant "gb-sort" is not valid for cc on GB`},
+		{cell{SSSP, LS, VGBRes}, `core: variant "gb-res" is not valid for sssp on LS`},
+		{cell{BFS, System(7), VDefault}, `core: variant "" is not valid for bfs on System(7)`},
+	} {
+		res := Run(RunSpec{App: c.app, System: c.sys, Variant: c.v, Input: in, Scale: gen.ScaleTest, Threads: 2})
+		if res.Outcome != ERR || res.Err == nil || res.Err.Error() != c.msg {
+			t.Errorf("%v/%v/%q: outcome %v, err %v; want ERR %q", c.app, c.sys, c.v, res.Outcome, res.Err, c.msg)
 		}
 	}
 }

@@ -15,10 +15,10 @@ import (
 // matching the study ("runtimes do not include graph loading and
 // preprocessing"). G and Src exist from construction; every other form is
 // built once, on first use, by its accessor, and is read-only afterwards.
-// RunCtx asks for exactly the forms a spec reads (requireForms) before it
-// starts the clock, so a form is never built inside the timed region — and
-// a run that needs only the base graph or one matrix never pays for the
-// rest (symmetrization, the degree-sorted relabel, the other six
+// A cell's bind (see cells) fetches exactly the forms the cell reads before
+// RunCtx starts the clock, so a form is never built inside the timed region
+// — and a run that needs only the base graph or one matrix never pays for
+// the rest (symmetrization, the degree-sorted relabel, the other six
 // matrices). This is LAGraph's model of cached graph properties, computed
 // on demand rather than up front.
 type Prepared struct {
@@ -121,47 +121,6 @@ func (p *Prepared) ASrtInt() *grb.Matrix[int64] {
 	return p.aSrtInt.get(p, func() *grb.Matrix[int64] {
 		return grb.MatrixFromGraph(p.SymSorted(), func(uint32) int64 { return 1 })
 	})
-}
-
-// requireForms builds every form dispatch reads for spec, mirroring its
-// routing; RunCtx calls it before the clock starts. An incremental spec
-// needs both its warm-path and its from-scratch fallback operands, since
-// which path runs is decided inside the timed region.
-func (p *Prepared) requireForms(spec RunSpec) {
-	if spec.System == LS {
-		switch spec.App {
-		case CC, KTruss:
-			p.Sym()
-		case TC:
-			p.SymSorted()
-		}
-		return
-	}
-	switch spec.App {
-	case BFS:
-		if spec.Variant == VIncremental {
-			p.AW32()
-		}
-		p.ABool()
-	case CC:
-		p.ASymU32()
-	case KTruss:
-		p.ASymInt()
-	case PR:
-		p.AFloat()
-	case SSSP:
-		if p.In.BigDelta {
-			p.AW64()
-		} else {
-			p.AW32()
-		}
-	case TC:
-		if spec.Variant == VGBSort || spec.Variant == VGBLL {
-			p.ASrtInt()
-		} else {
-			p.ASymInt()
-		}
-	}
 }
 
 var (

@@ -55,9 +55,9 @@ func TestDropPreparedFreesBothCaches(t *testing.T) {
 
 // TestFormsBuiltBeforeClock walks every valid (app, system, variant) cell
 // and checks that a run builds no Prepared form inside its timed region:
-// starting from a fresh Prepared, a run must end with exactly the forms
-// requireForms builds before the clock starts. A form dispatch reads but
-// requireForms misses would be built on first use mid-run and show up as
+// starting from a fresh Prepared, a run must end with exactly the forms the
+// cell's bind builds before the clock starts. A form the timed body reads
+// but bind did not fetch would be built on first use mid-run and show up as
 // an extra build. Incremental cells run twice on one lineage, so the warm
 // path's operands are checked as well as the from-scratch ones.
 func TestFormsBuiltBeforeClock(t *testing.T) {
@@ -80,8 +80,9 @@ func TestFormsBuiltBeforeClock(t *testing.T) {
 						continue
 					}
 					spec := RunSpec{App: app, System: sys, Variant: v, Input: in, Scale: gen.ScaleTest, Threads: 2}
+					bind := lookupCell(app, sys, v)
 					p := fresh()
-					p.requireForms(spec)
+					bind(p, spec)
 					want := p.builds.Load()
 
 					epochs := []uint64{0}
@@ -111,8 +112,8 @@ func TestFormsBuiltBeforeClock(t *testing.T) {
 	}
 }
 
-// TestRequireFormsBuildsOnlyWhatIsRead pins how many forms a few cells
-// build, so a run never pays for forms it does not read.
+// TestRequireFormsBuildsOnlyWhatIsRead pins how many forms a few cells'
+// bind functions build, so a run never pays for forms it does not read.
 func TestRequireFormsBuildsOnlyWhatIsRead(t *testing.T) {
 	in, err := gen.ByName("rmat22")
 	if err != nil {
@@ -140,7 +141,11 @@ func TestRequireFormsBuildsOnlyWhatIsRead(t *testing.T) {
 	for _, c := range cases {
 		DropPrepared(in.Name, gen.ScaleTest)
 		p := Prepare(in, gen.ScaleTest)
-		p.requireForms(RunSpec{App: c.app, System: c.sys, Variant: c.v, Input: in, Scale: gen.ScaleTest})
+		bind := lookupCell(c.app, c.sys, c.v)
+		if bind == nil {
+			t.Fatalf("%v/%v/%q: no cell", c.app, c.sys, c.v)
+		}
+		bind(p, RunSpec{App: c.app, System: c.sys, Variant: c.v, Input: in, Scale: gen.ScaleTest})
 		if got := int(p.builds.Load()); got != c.want {
 			t.Errorf("%v/%v/%q: %d forms built, want %d", c.app, c.sys, c.v, got, c.want)
 		}

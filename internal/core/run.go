@@ -45,14 +45,6 @@ type RunSpec struct {
 	Mutation *MutationView
 }
 
-// adaptConfig resolves the spec's adaptive config.
-func adaptConfig(spec RunSpec) adapt.Config {
-	if spec.Adapt != nil {
-		return *spec.Adapt
-	}
-	return adapt.DefaultConfig()
-}
-
 // Result is the outcome of one run.
 type Result struct {
 	Spec    RunSpec
@@ -71,7 +63,9 @@ type Result struct {
 	// direct measure of the materialization the study discusses.
 	AllocBytes uint64
 	// Rounds reports algorithm rounds where meaningful (bfs levels, cc
-	// hook/shortcut rounds, ktruss peels, sssp light-relax rounds).
+	// hook/shortcut rounds, ktruss peels, pagerank iterations, matrix sssp
+	// light-relax rounds). LS sssp carries its applied-relaxation count
+	// here instead; tc, LS Afforest cc and a warm incremental cc report 0.
 	Rounds int
 	// Trace is the per-operator summary of the run when Spec.Trace was set.
 	Trace *trace.Summary
@@ -92,16 +86,20 @@ func Run(spec RunSpec) Result {
 // context flips it, producing a TO outcome rather than an abandoned
 // goroutine.
 func RunCtx(ctx context.Context, spec RunSpec) Result {
+	bind := lookupCell(spec.App, spec.System, spec.Variant)
+	if bind == nil {
+		return Result{Spec: spec, Outcome: ERR,
+			Err: fmt.Errorf("core: variant %q is not valid for %v on %v", spec.Variant, spec.App, spec.System)}
+	}
 	if spec.Timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, spec.Timeout)
 		defer cancel()
 	}
 
-	// Every form dispatch reads is built here, ahead of the allocation
+	// bind builds every form the cell reads, ahead of the allocation
 	// counters and the clock.
-	p := Prepare(spec.Input, spec.Scale)
-	p.requireForms(spec)
+	body := bind(Prepare(spec.Input, spec.Scale), spec)
 
 	var stop atomic.Bool
 	if ctx.Done() != nil {
@@ -129,21 +127,16 @@ func RunCtx(ctx context.Context, spec RunSpec) Result {
 		trace.Install(spec.Trace)
 	}
 	start := time.Now()
-	value, check, rounds, err := dispatch(p, spec, &stop)
-	elapsed := time.Since(start)
+	res, err := body(grbContext(spec.System, spec.Threads, &stop),
+		lonestar.Options{Threads: spec.Threads, Stop: &stop})
+	res.Elapsed = time.Since(start)
 	if spec.Trace != nil {
 		trace.Install(nil)
 	}
 	runtime.ReadMemStats(&ms1)
 
-	res := Result{
-		Spec:       spec,
-		Elapsed:    elapsed,
-		Value:      value,
-		Check:      check,
-		Rounds:     rounds,
-		AllocBytes: ms1.TotalAlloc - ms0.TotalAlloc,
-	}
+	res.Spec = spec
+	res.AllocBytes = ms1.TotalAlloc - ms0.TotalAlloc
 	if spec.Trace != nil {
 		res.Trace = spec.Trace.Summary()
 	}
@@ -159,8 +152,8 @@ func RunCtx(ctx context.Context, spec RunSpec) Result {
 	return res
 }
 
-// grbContext builds the LAGraph-side context for a system.
-func grbContext(sys System, threads int, stop *atomic.Bool) (*grb.Context, error) {
+// grbContext builds the LAGraph-side context of SS or GB; LS has none.
+func grbContext(sys System, threads int, stop *atomic.Bool) *grb.Context {
 	var ctx *grb.Context
 	switch sys {
 	case SS:
@@ -168,238 +161,20 @@ func grbContext(sys System, threads int, stop *atomic.Bool) (*grb.Context, error
 	case GB:
 		ctx = grb.NewGaloisBLASContext(threads)
 	default:
-		return nil, fmt.Errorf("core: system %v has no GraphBLAS context", sys)
+		return nil
 	}
 	ctx.Stop = stop
-	return ctx, nil
+	return ctx
 }
 
-// dispatch routes to the right algorithm implementation.
-func dispatch(p *Prepared, spec RunSpec, stop *atomic.Bool) (value string, check uint64, rounds int, err error) {
-	lsOpt := lonestar.Options{Threads: spec.Threads, Stop: stop}
-	switch spec.App {
-	case BFS:
-		if spec.System == LS {
-			dist, r, err := lonestar.BFS(p.G, p.Src, lsOpt)
-			if err != nil {
-				return "", 0, r, err
-			}
-			return summarizeLevels(dist), checksum32(dist), r, nil
-		}
-		ctx, err := grbContext(spec.System, spec.Threads, stop)
-		if err != nil {
-			return "", 0, 0, err
-		}
-		if spec.Variant == VIncremental {
-			levels, r, err := runIncrementalBFS(ctx, p, spec)
-			if err != nil {
-				return "", 0, r, err
-			}
-			return summarizeLevels(levels), checksum32(levels), r, nil
-		}
-		bfs := lagraph.BFS
-		switch spec.Variant {
-		case VFused:
-			bfs = lagraph.FusedBFS
-		case VAdaptive:
-			cfg := adaptConfig(spec)
-			bfs = func(ctx *grb.Context, A *grb.Matrix[bool], src int) (*grb.Vector[int32], int, error) {
-				dist, rounds, _, err := lagraph.AdaptiveBFS(ctx, A, src, cfg)
-				return dist, rounds, err
-			}
-		}
-		dist, r, err := bfs(ctx, p.ABool(), int(p.Src))
-		if err != nil {
-			return "", 0, r, err
-		}
-		levels := lagraph.BFSLevels(dist)
-		return summarizeLevels(levels), checksum32(levels), r, nil
-
-	case CC:
-		switch {
-		case spec.System == LS && spec.Variant == VLSSV:
-			labels, r, err := lonestar.CCShiloachVishkin(p.Sym(), lsOpt)
-			if err != nil {
-				return "", 0, r, err
-			}
-			return summarizeComponents(labels), componentCheck(labels), r, nil
-		case spec.System == LS:
-			labels, err := lonestar.CCAfforest(p.Sym(), lsOpt)
-			if err != nil {
-				return "", 0, 0, err
-			}
-			return summarizeComponents(labels), componentCheck(labels), 0, nil
-		default:
-			ctx, err := grbContext(spec.System, spec.Threads, stop)
-			if err != nil {
-				return "", 0, 0, err
-			}
-			if spec.Variant == VIncremental {
-				labels, r, err := runIncrementalCC(ctx, p, spec)
-				if err != nil {
-					return "", 0, r, err
-				}
-				return summarizeComponents(labels), componentCheck(labels), r, nil
-			}
-			fastsv := lagraph.CCFastSV
-			if spec.Variant == VAdaptive {
-				cfg := adaptConfig(spec)
-				fastsv = func(ctx *grb.Context, A *grb.Matrix[uint32]) (*grb.Vector[uint32], int, error) {
-					return lagraph.AdaptiveCC(ctx, A, cfg)
-				}
-			}
-			f, r, err := fastsv(ctx, p.ASymU32())
-			if err != nil {
-				return "", 0, r, err
-			}
-			labels := lagraph.Labels(f)
-			return summarizeComponents(labels), componentCheck(labels), r, nil
-		}
-
-	case KTruss:
-		k := p.In.KTrussK()
-		if spec.System == LS {
-			res, err := lonestar.KTruss(p.Sym(), k, lsOpt)
-			if err != nil {
-				return "", 0, res.Rounds, err
-			}
-			return fmt.Sprintf("edges=%d", res.Edges), uint64(res.Edges), res.Rounds, nil
-		}
-		ctx, err := grbContext(spec.System, spec.Threads, stop)
-		if err != nil {
-			return "", 0, 0, err
-		}
-		res, err := lagraph.KTruss(ctx, p.ASymInt(), k)
-		if err != nil {
-			return "", 0, res.Rounds, err
-		}
-		return fmt.Sprintf("edges=%d", res.Edges), uint64(res.Edges), res.Rounds, nil
-
-	case PR:
-		if spec.System == LS {
-			o := lonestar.DefaultPageRankOptions()
-			o.Options = lsOpt
-			ranks, err := lonestar.PageRankResidual(p.G, o, spec.Variant == VLSSoA)
-			if err != nil {
-				return "", 0, 0, err
-			}
-			return summarizeRanks(ranks), rankCheck(ranks), o.Iterations, nil
-		}
-		ctx, err := grbContext(spec.System, spec.Threads, stop)
-		if err != nil {
-			return "", 0, 0, err
-		}
-		if spec.Variant == VIncremental {
-			pr, r, err := runIncrementalPR(ctx, p, spec)
-			if err != nil {
-				return "", 0, r, err
-			}
-			ranks := lagraph.Ranks(pr)
-			return summarizeRanks(ranks), rankCheck(ranks), r, nil
-		}
-		opt := lagraph.DefaultPageRankOptions()
-		var r *grb.Vector[float64]
-		switch spec.Variant {
-		case VGBRes:
-			r, err = lagraph.PageRankResidual(ctx, p.AFloat(), opt)
-		case VFused:
-			// The fused DAG port of the residual formulation; its digest
-			// matches gb-res bit for bit (the fused differential suite).
-			r, err = lagraph.FusedPageRank(ctx, p.AFloat(), opt)
-		case VAdaptive:
-			// The adaptive port of the same formulation; digest-compatible
-			// with gb-res under the quantized rank check.
-			r, err = lagraph.AdaptivePageRank(ctx, p.AFloat(), opt, adaptConfig(spec))
-		default:
-			r, err = lagraph.PageRank(ctx, p.AFloat(), opt)
-		}
-		if err != nil {
-			return "", 0, 0, err
-		}
-		ranks := lagraph.Ranks(r)
-		return summarizeRanks(ranks), rankCheck(ranks), opt.Iterations, nil
-
-	case SSSP:
-		delta := p.In.Delta()
-		if spec.System == LS {
-			o := lonestar.DefaultSSSPOptions()
-			o.Options = lsOpt
-			o.Delta = delta
-			o.EdgeTiling = spec.Variant != VLSNoTile
-			dist, applied, err := lonestar.SSSP(p.G, p.Src, o)
-			if err != nil {
-				return "", 0, int(applied), err
-			}
-			return summarizeDists(dist), checksum64(dist), int(applied), nil
-		}
-		ctx, err := grbContext(spec.System, spec.Threads, stop)
-		if err != nil {
-			return "", 0, 0, err
-		}
-		sssp32, sssp64 := lagraph.SSSP[uint32], lagraph.SSSP[uint64]
-		switch spec.Variant {
-		case VFused:
-			sssp32, sssp64 = lagraph.FusedSSSP[uint32], lagraph.FusedSSSP[uint64]
-		case VAdaptive:
-			cfg := adaptConfig(spec)
-			sssp32 = func(ctx *grb.Context, A *grb.Matrix[uint32], src int, delta uint32) (lagraph.SSSPResult[uint32], error) {
-				return lagraph.AdaptiveSSSP(ctx, A, src, delta, cfg)
-			}
-			sssp64 = func(ctx *grb.Context, A *grb.Matrix[uint64], src int, delta uint64) (lagraph.SSSPResult[uint64], error) {
-				return lagraph.AdaptiveSSSP(ctx, A, src, delta, cfg)
-			}
-		}
-		// The study switches to 64-bit distances for eukarya only.
-		if p.In.BigDelta {
-			res, err := sssp64(ctx, p.AW64(), int(p.Src), uint64(delta))
-			if err != nil {
-				return "", 0, res.Rounds, err
-			}
-			d := lagraph.Distances(res.Dist)
-			return summarizeDists(d), checksum64(d), res.Rounds, nil
-		}
-		res, err := sssp32(ctx, p.AW32(), int(p.Src), delta)
-		if err != nil {
-			return "", 0, res.Rounds, err
-		}
-		d := lagraph.Distances(res.Dist)
-		return summarizeDists(d), checksum64(d), res.Rounds, nil
-
-	case TC:
-		if spec.System == LS {
-			count, err := lonestar.TriangleCount(p.SymSorted(), lsOpt)
-			if err != nil {
-				return "", 0, 0, err
-			}
-			return fmt.Sprintf("triangles=%d", count), uint64(count), 0, nil
-		}
-		ctx, err := grbContext(spec.System, spec.Threads, stop)
-		if err != nil {
-			return "", 0, 0, err
-		}
-		var variant lagraph.TCVariant
-		var m *grb.Matrix[int64]
-		switch spec.Variant {
-		case VGBSort:
-			variant, m = lagraph.TCSorted, p.ASrtInt()
-		case VGBLL:
-			variant, m = lagraph.TCListing, p.ASrtInt()
-		default:
-			variant, m = lagraph.TCSandiaDot, p.ASymInt()
-		}
-		count, err := lagraph.TriangleCount(ctx, m, variant)
-		if err != nil {
-			return "", 0, 0, err
-		}
-		return fmt.Sprintf("triangles=%d", count), uint64(count), 0, nil
+// levelsAnswer reports bfs levels: the reachable count and the max level.
+// Like the other answer helpers, on error it reports only the rounds.
+func levelsAnswer(levels []uint32, rounds int, err error) (Result, error) {
+	if err != nil {
+		return Result{Rounds: rounds}, err
 	}
-	return "", 0, 0, fmt.Errorf("core: unknown app %v", spec.App)
-}
-
-// summarizeLevels reports reachable count and max level.
-func summarizeLevels(dist []uint32) string {
 	reached, maxL := 0, uint32(0)
-	for _, d := range dist {
+	for _, d := range levels {
 		if d != ^uint32(0) {
 			reached++
 			if d > maxL {
@@ -407,28 +182,37 @@ func summarizeLevels(dist []uint32) string {
 			}
 		}
 	}
-	return fmt.Sprintf("reached=%d maxlevel=%d", reached, maxL)
+	return Result{Value: fmt.Sprintf("reached=%d maxlevel=%d", reached, maxL), Check: checksum32(levels), Rounds: rounds}, nil
 }
 
-func summarizeDists(dist []uint64) string {
+func distsAnswer(dist []uint64, rounds int, err error) (Result, error) {
+	if err != nil {
+		return Result{Rounds: rounds}, err
+	}
 	reached := 0
 	for _, d := range dist {
 		if d != ^uint64(0) {
 			reached++
 		}
 	}
-	return fmt.Sprintf("reached=%d", reached)
+	return Result{Value: fmt.Sprintf("reached=%d", reached), Check: checksum64(dist), Rounds: rounds}, nil
 }
 
-func summarizeComponents(labels []uint32) string {
+func componentsAnswer(labels []uint32, rounds int, err error) (Result, error) {
+	if err != nil {
+		return Result{Rounds: rounds}, err
+	}
 	seen := map[uint32]struct{}{}
 	for _, l := range labels {
 		seen[l] = struct{}{}
 	}
-	return fmt.Sprintf("components=%d", len(seen))
+	return Result{Value: fmt.Sprintf("components=%d", len(seen)), Check: componentCheck(labels), Rounds: rounds}, nil
 }
 
-func summarizeRanks(r []float64) string {
+func ranksAnswer(r []float64, rounds int, err error) (Result, error) {
+	if err != nil {
+		return Result{Rounds: rounds}, err
+	}
 	var sum, max float64
 	for _, v := range r {
 		sum += v
@@ -436,7 +220,7 @@ func summarizeRanks(r []float64) string {
 			max = v
 		}
 	}
-	return fmt.Sprintf("sum=%.6f max=%.6f", sum, max)
+	return Result{Value: fmt.Sprintf("sum=%.6f max=%.6f", sum, max), Check: rankCheck(r), Rounds: rounds}, nil
 }
 
 // checksum32 hashes a level array (FNV-style) so equal answers compare equal.
