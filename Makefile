@@ -31,10 +31,14 @@ race:
 
 # Focused gate for the parallel kernel backend: the equivalence, metamorphic,
 # alias, and digest-stability suites under the race detector at a fixed
-# worker count, plus a does-it-run pass over the SpMV scaling benchmark.
+# worker count, plus a does-it-run pass over the SpMV scaling benchmark and
+# the fused-BFS ablation EXPERIMENTS.md quotes.
+# internal/adapt's tests are pure policy with no worker sweep, so they do
+# not register -grb.workers and run under the race detector without it.
 test-parallel:
-	$(GO) test ./internal/grb ./internal/verify ./internal/fuse ./internal/adapt -race -grb.workers=4
-	$(GO) test ./internal/grb -run '^$$' -bench SpMV -benchtime 1x
+	$(GO) test ./internal/grb ./internal/verify ./internal/fuse -race -grb.workers=4
+	$(GO) test ./internal/adapt -race
+	$(GO) test ./internal/grb -run '^$$' -bench 'SpMV|AblationFusedBFS' -benchtime 1x
 
 # Short fuzzing pass over every untrusted-input decoder, plus the
 # differential targets (snapshot materialization against its map-based

@@ -76,9 +76,10 @@ type Config struct {
 }
 
 // DefaultConfig returns the thresholds used by the adaptive variants:
-// α=0.05 / β=0.01 direction thresholds (BFSPushPull's static 5% cutoff
-// becomes the pull edge), and rep bands that keep tiny frontiers in
-// List, promote through Sorted and Bitmap, and densify at 25%.
+// α=0.05 / β=0.01 direction thresholds (α is direction-optimized BFS's
+// classic cutoff: pull once the frontier holds 5% of the vertices), and
+// rep bands that keep tiny frontiers in List, promote through Sorted and
+// Bitmap, and densify at 25%.
 func DefaultConfig() Config {
 	return Config{Alpha: 0.05, Beta: 0.01, B1: 0.002, B2: 0.02, B3: 0.25, Hyst: 0.5}
 }

@@ -52,8 +52,7 @@ var cells = map[cellKey]binder{
 	{BFS, matrixAPI, VAdaptive}: func(p *Prepared, spec RunSpec) timed {
 		cfg := adaptConfig(spec)
 		return matrixBFS(func(ctx *grb.Context, A *grb.Matrix[bool], src int) (*grb.Vector[int32], int, error) {
-			dist, rounds, _, err := lagraph.AdaptiveBFS(ctx, A, src, cfg)
-			return dist, rounds, err
+			return lagraph.AdaptiveBFS(ctx, A, src, cfg)
 		})(p, spec)
 	},
 	{BFS, matrixAPI, VIncremental}: bindIncrementalBFS,

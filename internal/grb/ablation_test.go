@@ -121,47 +121,16 @@ func BenchmarkAblationFusedBFS(b *testing.B) {
 	g.SortAdjacency()
 	A := BoolMatrixFromGraph(g)
 	ctx := NewGaloisBLASContext(4)
-	b.Run("three-call", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			dist := NewVector[int32](A.NRows(), Dense)
-			if err := AssignConstant(ctx, dist, nil, nil, 0, Desc{}); err != nil {
-				b.Fatal(err)
-			}
-			frontier := NewVector[bool](A.NRows(), List)
-			frontier.SetElement(0, true)
-			level := int32(1)
-			for {
-				if err := AssignConstant(ctx, dist, StructMask(frontier), nil, level, Desc{}); err != nil {
+	for _, arm := range []struct {
+		name string
+		run  func(*Context, *Matrix[bool], int) (*Vector[int32], int, error)
+	}{{"three-call", threeCallBFS}, {"fused", fusedBFS}} {
+		b.Run(arm.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, _, err := arm.run(ctx, A, 0); err != nil {
 					b.Fatal(err)
 				}
-				if frontier.NVals() == 0 {
-					break
-				}
-				if err := VxM(ctx, frontier, ValueMask(dist).Comp(), nil, LorLand(), frontier, A, Desc{Replace: true}); err != nil {
-					b.Fatal(err)
-				}
-				level++
 			}
-		}
-	})
-	b.Run("fused", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			dist := NewVector[int32](A.NRows(), Dense)
-			if err := AssignConstant(ctx, dist, nil, nil, 0, Desc{}); err != nil {
-				b.Fatal(err)
-			}
-			dist.SetElement(0, 1)
-			frontier := NewVector[bool](A.NRows(), List)
-			frontier.SetElement(0, true)
-			level := int32(1)
-			for frontier.NVals() > 0 {
-				next, err := FusedBFSStep(ctx, dist, frontier, A, level+1)
-				if err != nil {
-					b.Fatal(err)
-				}
-				frontier = next
-				level++
-			}
-		}
-	})
+		})
+	}
 }

@@ -8,9 +8,10 @@ import (
 	"graphstudy/internal/trace"
 )
 
-// This file holds the adaptive ports of the round-based matrix kernels
-// (core.VAdaptive): the same algorithms as bfs.go / pr.go / sssp.go /
-// cc.go, with three changes wired through every round loop —
+// This file holds the adaptive engines of the round-based matrix kernels
+// (core.VAdaptive): per-round steps for the round drivers in bfs.go /
+// pr.go / sssp.go, plus FastSV's loop from cc.go, with three changes
+// wired through every round —
 //
 //  1. the push/pull direction is decided per round by an adapt.Engine
 //     from the measured frontier density and forced onto the kernel
@@ -26,54 +27,28 @@ import (
 // Config.ForceDirection/ForceRep and demands digests identical to the
 // free-running engine across the whole corpus.
 
-// AdaptiveBFS is BFSPushPull with the static 5% cutoff replaced by the
-// adapt engine. Same contract as BFS: returns the level+1 vector, the
-// round count, and how many rounds pulled.
-func AdaptiveBFS(ctx *grb.Context, A *grb.Matrix[bool], src int, cfg adapt.Config) (*grb.Vector[int32], int, int, error) {
-	n := A.NRows()
-	if A.NCols() != n {
-		return nil, 0, 0, fmt.Errorf("lagraph: AdaptiveBFS needs a square matrix, got %dx%d", n, A.NCols())
-	}
-	if src < 0 || src >= n {
-		return nil, 0, 0, fmt.Errorf("lagraph: AdaptiveBFS source %d out of range [0,%d)", src, n)
-	}
-	init := trace.Begin(trace.CatRound, "lagraph.bfs-adapt.init")
-	A.EnsureCSC() // pull rounds dot through the CSC mirror
-
-	dist := grb.NewVector[int32](n, grb.Dense)
-	if err := grb.AssignConstant(ctx, dist, nil, nil, 0, grb.Desc{}); err != nil {
-		init.End()
-		return nil, 0, 0, err
-	}
-	eng := adapt.NewEngine(n, cfg)
-	ar := adapt.NewArena[bool](n)
-	frontier := ar.Get(grb.List)
-	frontier.SetElement(src, true)
-	init.End()
-
-	level := int32(1)
-	rounds, pulls := 0, 0
-	for {
-		if ctx.Stopped() {
-			return nil, rounds, pulls, ErrTimeout
-		}
-		rounds++
-		sp := trace.Begin(trace.CatRound, "lagraph.bfs-adapt.round")
-		sp.Round = rounds
-		sp.NNZIn = int64(frontier.NVals())
-		done := false
-		err := func() error {
+// AdaptiveBFS is LAGraph's direction-optimized BFS with the direction and
+// the frontier's representation decided per round by the adapt engine:
+// sparse frontiers push (masked vxm over the frontier's rows), dense ones
+// pull (masked dot products through the CSC mirror). The study's
+// related-work section notes GraphBLAST leans on exactly this optimization;
+// in the GraphBLAS API it falls out of the mask machinery plus a
+// frontier-density heuristic. Same contract as BFS: returns the level+1
+// vector and the round count; pull rounds show as adapt.direction.pull
+// spans.
+func AdaptiveBFS(ctx *grb.Context, A *grb.Matrix[bool], src int, cfg adapt.Config) (*grb.Vector[int32], int, error) {
+	return bfs(ctx, A, src, "lagraph.bfs-adapt", func() bfsStep {
+		A.EnsureCSC() // pull rounds dot through the CSC mirror
+		eng := adapt.NewEngine(A.NRows(), cfg)
+		ar := adapt.NewArena[bool](A.NRows())
+		return func(dist *grb.Vector[int32], frontier *grb.Vector[bool], level int32) (*grb.Vector[bool], error) {
 			if err := grb.AssignConstant(ctx, dist, grb.StructMask(frontier), nil, level, grb.Desc{}); err != nil {
-				return err
+				return nil, err
 			}
 			if frontier.NVals() == 0 {
-				done = true
-				return nil
+				return nil, nil
 			}
 			dec := eng.Decide(frontier.NVals())
-			if dec.Direction == adapt.Pull {
-				pulls++
-			}
 			frontier.Convert(dec.Rep)
 			// The next frontier comes from the arena instead of aliasing
 			// the input (which would force the kernel to snapshot it).
@@ -81,23 +56,13 @@ func AdaptiveBFS(ctx *grb.Context, A *grb.Matrix[bool], src int, cfg adapt.Confi
 			mask := grb.ValueMask(dist).Comp()
 			if err := grb.VxM(ctx, next, mask, nil, grb.LorLand(), frontier, A,
 				grb.Desc{Replace: true, Force: dec.Direction.Hint()}); err != nil {
-				return err
+				ar.Put(next)
+				return nil, err
 			}
 			ar.Put(frontier)
-			frontier = next
-			return nil
-		}()
-		sp.NNZOut = int64(frontier.NVals())
-		sp.End()
-		if err != nil {
-			return nil, rounds, pulls, err
+			return next, nil
 		}
-		if done {
-			break
-		}
-		level++
-	}
-	return dist, rounds, pulls, nil
+	})
 }
 
 // AdaptivePageRank is the residual formulation (gb-res) with the
@@ -109,56 +74,17 @@ func AdaptiveBFS(ctx *grb.Context, A *grb.Matrix[bool], src int, cfg adapt.Confi
 // order-sensitive (float) semiring. Digest-compatible with gb-res
 // under core's quantized rank check.
 func AdaptivePageRank(ctx *grb.Context, A *grb.Matrix[float64], opt PageRankOptions, cfg adapt.Config) (*grb.Vector[float64], error) {
-	n := A.NRows()
-	if A.NCols() != n {
-		return nil, fmt.Errorf("lagraph: AdaptivePageRank needs a square matrix, got %dx%d", n, A.NCols())
-	}
-	if n == 0 {
-		return grb.NewVector[float64](0, grb.Dense), nil
-	}
-	d := opt.Damping
-	base := (1 - d) / float64(n)
-	init := trace.Begin(trace.CatRound, "lagraph.pr-adapt.init")
-	A.EnsureCSC()
-
-	outdeg := grb.ReduceRows(ctx, grb.PlusMonoid[float64](), A)
-	invdeg := grb.NewVector[float64](n, grb.Dense)
-	if err := grb.AssignConstant(ctx, invdeg, nil, nil, 0, grb.Desc{}); err != nil {
-		init.End()
-		return nil, err
-	}
-	if err := grb.Apply(ctx, invdeg, nil, nil, func(x float64) float64 { return 1 / x }, outdeg, grb.Desc{}); err != nil {
-		init.End()
-		return nil, err
-	}
-
-	pr := grb.NewVector[float64](n, grb.Dense)
-	if err := grb.AssignConstant(ctx, pr, nil, nil, 0, grb.Desc{}); err != nil {
-		init.End()
-		return nil, err
-	}
-	res := grb.NewVector[float64](n, grb.Dense)
-	if err := grb.AssignConstant(ctx, res, nil, nil, base, grb.Desc{}); err != nil {
-		init.End()
-		return nil, err
-	}
-
-	eng := adapt.NewEngine(n, cfg)
-	ar := adapt.NewArena[float64](n)
-	init.End()
-	plus := func(a, b float64) float64 { return a + b }
-	for it := 0; it < opt.Iterations; it++ {
-		if ctx.Stopped() {
-			return nil, ErrTimeout
-		}
-		sp := trace.Begin(trace.CatRound, "lagraph.pr-adapt.round")
-		sp.Round = it + 1
-		err := func() error {
+	return residualPageRank(ctx, A, opt, "lagraph.pr-adapt", func() prStep {
+		eng := adapt.NewEngine(A.NRows(), cfg)
+		ar := adapt.NewArena[float64](A.NRows())
+		plus := func(a, b float64) float64 { return a + b }
+		return func(pr, res, invdeg *grb.Vector[float64]) error {
 			if err := grb.EWiseAdd(ctx, pr, nil, nil, plus, pr, res, grb.Desc{}); err != nil {
 				return err
 			}
 			dec := eng.Decide(res.NVals())
 			contrib := ar.Get(dec.Rep)
+			defer ar.Put(contrib)
 			if err := grb.EWiseMult(ctx, contrib, nil, nil, func(a, b float64) float64 { return a * b }, res, invdeg, grb.Desc{Replace: true}); err != nil {
 				return err
 			}
@@ -166,15 +92,9 @@ func AdaptivePageRank(ctx *grb.Context, A *grb.Matrix[float64], opt PageRankOpti
 				grb.Desc{Replace: true, Force: dec.Direction.Hint()}); err != nil {
 				return err
 			}
-			ar.Put(contrib)
-			return grb.Apply(ctx, res, nil, nil, func(x float64) float64 { return d * x }, res, grb.Desc{Replace: true})
-		}()
-		sp.End()
-		if err != nil {
-			return nil, err
+			return grb.Apply(ctx, res, nil, nil, func(x float64) float64 { return opt.Damping * x }, res, grb.Desc{Replace: true})
 		}
-	}
-	return pr, nil
+	})
 }
 
 // AdaptiveSSSP is bulk-synchronous delta-stepping (sssp.go) with the
@@ -183,130 +103,50 @@ func AdaptivePageRank(ctx *grb.Context, A *grb.Matrix[float64], opt PageRankOpti
 // kernel: min-plus folds are order-insensitive, so neither direction
 // nor representation can show in the result.
 func AdaptiveSSSP[T grb.Number](ctx *grb.Context, A *grb.Matrix[T], src int, delta T, cfg adapt.Config) (SSSPResult[T], error) {
-	n := A.NRows()
-	if A.NCols() != n {
-		return SSSPResult[T]{}, fmt.Errorf("lagraph: AdaptiveSSSP needs a square matrix, got %dx%d", n, A.NCols())
-	}
-	if src < 0 || src >= n {
-		return SSSPResult[T]{}, fmt.Errorf("lagraph: AdaptiveSSSP source %d out of range [0,%d)", src, n)
-	}
-	if delta <= 0 {
-		return SSSPResult[T]{}, fmt.Errorf("lagraph: AdaptiveSSSP delta must be positive")
-	}
-	inf := grb.MaxValue[T]()
-	minT := func(a, b T) T {
-		if a < b {
-			return a
-		}
-		return b
-	}
-
-	init := trace.Begin(trace.CatRound, "lagraph.sssp-adapt.init")
-	AL := grb.SelectMatrix(A, func(v T, _, _ int) bool { return v <= delta })
-	AH := grb.SelectMatrix(A, func(v T, _, _ int) bool { return v > delta })
-	AL.EnsureCSC() // forced-pull light rounds need the mirror
-
-	t := grb.NewVector[T](n, grb.Dense)
-	if err := grb.AssignConstant(ctx, t, nil, nil, inf, grb.Desc{}); err != nil {
-		init.End()
-		return SSSPResult[T]{}, err
-	}
-	t.SetElement(src, 0)
-	eng := adapt.NewEngine(n, cfg)
-	ar := adapt.NewArena[T](n)
-	init.End()
-
-	res := SSSPResult[T]{Dist: t}
-	lower, upper := T(0), delta
-	for {
-		if ctx.Stopped() {
-			return res, ErrTimeout
-		}
-		res.Buckets++
-		tmasked := ar.Get(grb.Sorted)
-		if err := grb.SelectVector(ctx, tmasked, nil, func(v T, _, _ int) bool { return v >= lower && v < upper }, t, grb.Desc{Replace: true}); err != nil {
-			return res, err
-		}
-		for tmasked.NVals() > 0 {
-			if ctx.Stopped() {
-				return res, ErrTimeout
-			}
-			res.Rounds++
-			sp := trace.Begin(trace.CatRound, "lagraph.sssp-adapt.round")
-			sp.Round = res.Rounds
-			sp.NNZIn = int64(tmasked.NVals())
-			err := func() error {
+	return deltaStepping(ctx, A, src, delta, "lagraph.sssp-adapt", func(AL, AH *grb.Matrix[T]) ssspEngine[T] {
+		AL.EnsureCSC() // forced-pull light rounds need the mirror
+		eng := adapt.NewEngine(A.NRows(), cfg)
+		ar := adapt.NewArena[T](A.NRows())
+		return ssspEngine[T]{
+			scratch: ar,
+			light: func(t, tmasked *grb.Vector[T], upper T) (*grb.Vector[T], error) {
 				dec := eng.Decide(tmasked.NVals())
 				tmasked.Convert(dec.Rep)
-				// Scratch returns to the arena on the error returns below
-				// too, not just the success path (the deferred puts run
-				// after SelectVector, so improvedMask's view of improved
-				// stays valid for exactly as long as it is read).
+				// The deferred puts run after SelectVector, so improvedMask's
+				// view of improved stays valid for exactly as long as it is
+				// read.
 				tReq := ar.Get(grb.Sorted)
 				defer ar.Put(tReq)
 				if err := grb.VxM(ctx, tReq, nil, nil, grb.MinPlus[T](), tmasked, AL,
 					grb.Desc{Replace: true, Force: dec.Direction.Hint()}); err != nil {
-					return err
+					return nil, err
 				}
 				improved := ar.Get(grb.Sorted)
 				defer ar.Put(improved)
-				lt := func(a, b T) T {
-					if a < b {
-						return 1
-					}
-					return 0
-				}
-				if err := grb.EWiseMult(ctx, improved, nil, nil, lt, tReq, t, grb.Desc{Replace: true}); err != nil {
-					return err
+				if err := grb.EWiseMult(ctx, improved, nil, nil, lessThan[T], tReq, t, grb.Desc{Replace: true}); err != nil {
+					return nil, err
 				}
 				improvedMask := grb.ValueMask(improved)
-				if err := grb.EWiseAdd(ctx, t, nil, nil, minT, t, tReq, grb.Desc{}); err != nil {
-					return err
+				if err := grb.EWiseAdd(ctx, t, nil, nil, minOf[T], t, tReq, grb.Desc{}); err != nil {
+					return nil, err
 				}
 				next := ar.Get(grb.Sorted)
 				if err := grb.SelectVector(ctx, next, improvedMask, func(v T, _, _ int) bool { return v < upper }, tReq, grb.Desc{Replace: true}); err != nil {
 					ar.Put(next)
+					return nil, err
+				}
+				return next, nil
+			},
+			heavy: func(t, tB *grb.Vector[T]) error {
+				tReq := ar.Get(grb.Sorted)
+				defer ar.Put(tReq)
+				if err := grb.VxM(ctx, tReq, nil, nil, grb.MinPlus[T](), tB, AH, grb.Desc{Replace: true}); err != nil {
 					return err
 				}
-				ar.Put(tmasked)
-				tmasked = next
-				return nil
-			}()
-			sp.NNZOut = int64(tmasked.NVals())
-			sp.End()
-			if err != nil {
-				return res, err
-			}
+				return grb.EWiseAdd(ctx, t, nil, nil, minOf[T], t, tReq, grb.Desc{})
+			},
 		}
-		ar.Put(tmasked)
-		tB := ar.Get(grb.Sorted)
-		if err := grb.SelectVector(ctx, tB, nil, func(v T, _, _ int) bool { return v >= lower && v < upper }, t, grb.Desc{Replace: true}); err != nil {
-			return res, err
-		}
-		if tB.NVals() > 0 {
-			tReq := ar.Get(grb.Sorted)
-			if err := grb.VxM(ctx, tReq, nil, nil, grb.MinPlus[T](), tB, AH, grb.Desc{Replace: true}); err != nil {
-				return res, err
-			}
-			if err := grb.EWiseAdd(ctx, t, nil, nil, minT, t, tReq, grb.Desc{}); err != nil {
-				return res, err
-			}
-			ar.Put(tReq)
-		}
-		ar.Put(tB)
-		remaining := ar.Get(grb.Sorted)
-		if err := grb.SelectVector(ctx, remaining, nil, func(v T, _, _ int) bool { return v >= upper && v != inf }, t, grb.Desc{Replace: true}); err != nil {
-			return res, err
-		}
-		if remaining.NVals() == 0 {
-			break
-		}
-		m := grb.ReduceVector(ctx, grb.MinMonoid[T](), remaining)
-		ar.Put(remaining)
-		lower = m / delta * delta
-		upper = lower + delta
-	}
-	return res, nil
+	})
 }
 
 // AdaptiveCC is FastSV (cc.go) with the grandparent product's direction

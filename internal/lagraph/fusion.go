@@ -1,17 +1,14 @@
 package lagraph
 
 import (
-	"fmt"
-	"unsafe"
-
 	"graphstudy/internal/fuse"
 	"graphstudy/internal/grb"
-	"graphstudy/internal/trace"
 )
 
-// This file holds the "fused grb" ports: the same LAGraph-style algorithms
-// as bfs.go / pr.go / sssp.go, but with each round body recorded as a lazy
-// expression DAG (internal/fuse) instead of issued as eager grb calls. The
+// This file holds the "fused grb" engines: per-round steps for the round
+// drivers in bfs.go / pr.go / sssp.go, with each round body recorded as a
+// lazy expression DAG (internal/fuse) instead of issued as eager grb
+// calls. The
 // planner pattern-matches the chains the study's section V identifies as
 // the matrix API's fusion gap — the masked BFS assign+expand pair, the two
 // residual passes of pagerank, the delta-stepping relaxation chain — and
@@ -29,53 +26,20 @@ import (
 // which the planner fuses into one frontier traversal (no mask bitmaps, no
 // assign entry list). Rounds and the returned vector match BFS exactly.
 func FusedBFS(ctx *grb.Context, A *grb.Matrix[bool], src int) (*grb.Vector[int32], int, error) {
-	n := A.NRows()
-	if A.NCols() != n {
-		return nil, 0, fmt.Errorf("lagraph: FusedBFS needs a square matrix, got %dx%d", n, A.NCols())
-	}
-	if src < 0 || src >= n {
-		return nil, 0, fmt.Errorf("lagraph: FusedBFS source %d out of range [0,%d)", src, n)
-	}
-
-	init := trace.Begin(trace.CatRound, "lagraph.bfs-dag.init")
-	dist := grb.NewVector[int32](n, grb.Dense)
-	if err := grb.AssignConstant(ctx, dist, nil, nil, 0, grb.Desc{}); err != nil {
-		init.End()
-		return nil, 0, err
-	}
-	frontier := grb.NewVector[bool](n, grb.List)
-	frontier.SetElement(src, true)
-	init.End()
-
-	level := int32(1)
-	rounds := 0
-	for {
-		if ctx.Stopped() {
-			return nil, rounds, ErrTimeout
+	return bfs(ctx, A, src, "lagraph.bfs-dag", func() bfsStep {
+		return func(dist *grb.Vector[int32], frontier *grb.Vector[bool], level int32) (*grb.Vector[bool], error) {
+			// The eager step's final round runs its assign against an empty
+			// frontier mask — a no-op — so stopping before the program keeps
+			// both the result and the round count identical.
+			if frontier.NVals() == 0 {
+				return nil, nil
+			}
+			p := fuse.NewProgram(ctx)
+			fuse.AssignConstant(p, dist, fuse.StructOf(frontier), nil, level, grb.Desc{})
+			fuse.VxM(p, frontier, fuse.ValueOf(dist).Comp(), nil, grb.LorLand(), frontier, A, grb.Desc{Replace: true})
+			return frontier, p.Run()
 		}
-		rounds++
-		sp := trace.Begin(trace.CatRound, "lagraph.bfs-dag.round")
-		sp.Round = rounds
-		sp.NNZIn = int64(frontier.NVals())
-		// The eager port's final round runs its assign against an empty
-		// frontier mask — a no-op — so breaking before the program keeps
-		// both the result and the round count identical.
-		if frontier.NVals() == 0 {
-			sp.End()
-			break
-		}
-		p := fuse.NewProgram(ctx)
-		fuse.AssignConstant(p, dist, fuse.StructOf(frontier), nil, level, grb.Desc{})
-		fuse.VxM(p, frontier, fuse.ValueOf(dist).Comp(), nil, grb.LorLand(), frontier, A, grb.Desc{Replace: true})
-		err := p.Run()
-		sp.NNZOut = int64(frontier.NVals())
-		sp.End()
-		if err != nil {
-			return nil, rounds, err
-		}
-		level++
-	}
-	return dist, rounds, nil
+	})
 }
 
 // FusedPageRank is PageRankResidual with each iteration recorded as a
@@ -91,63 +55,20 @@ func FusedBFS(ctx *grb.Context, A *grb.Matrix[bool], src int) (*grb.Vector[int32
 // place). Like the eager variant it performs no dangling redistribution;
 // compare against lonestar.PageRankResidual.
 func FusedPageRank(ctx *grb.Context, A *grb.Matrix[float64], opt PageRankOptions) (*grb.Vector[float64], error) {
-	n := A.NRows()
-	if A.NCols() != n {
-		return nil, fmt.Errorf("lagraph: FusedPageRank needs a square matrix, got %dx%d", n, A.NCols())
-	}
-	if n == 0 {
-		return grb.NewVector[float64](0, grb.Dense), nil
-	}
-	d := opt.Damping
-	base := (1 - d) / float64(n)
-	init := trace.Begin(trace.CatRound, "lagraph.pr-dag.init")
-	A.EnsureCSC() // the dense-vector vxm pulls through columns
-
-	outdeg := grb.ReduceRows(ctx, grb.PlusMonoid[float64](), A)
-	invdeg := grb.NewVector[float64](n, grb.Dense)
-	if err := grb.AssignConstant(ctx, invdeg, nil, nil, 0, grb.Desc{}); err != nil {
-		init.End()
-		return nil, err
-	}
-	if err := grb.Apply(ctx, invdeg, nil, nil, func(x float64) float64 { return 1 / x }, outdeg, grb.Desc{}); err != nil {
-		init.End()
-		return nil, err
-	}
-
-	pr := grb.NewVector[float64](n, grb.Dense)
-	if err := grb.AssignConstant(ctx, pr, nil, nil, 0, grb.Desc{}); err != nil {
-		init.End()
-		return nil, err
-	}
-	res := grb.NewVector[float64](n, grb.Dense)
-	if err := grb.AssignConstant(ctx, res, nil, nil, base, grb.Desc{}); err != nil {
-		init.End()
-		return nil, err
-	}
-
-	contrib := grb.NewVector[float64](n, grb.Dense)
-	init.End()
-	plus := func(a, b float64) float64 { return a + b }
-	times := func(a, b float64) float64 { return a * b }
-	scale := func(x float64) float64 { return d * x }
-	for it := 0; it < opt.Iterations; it++ {
-		if ctx.Stopped() {
-			return nil, ErrTimeout
+	return residualPageRank(ctx, A, opt, "lagraph.pr-dag", func() prStep {
+		contrib := grb.NewVector[float64](A.NRows(), grb.Dense)
+		plus := func(a, b float64) float64 { return a + b }
+		times := func(a, b float64) float64 { return a * b }
+		scale := func(x float64) float64 { return opt.Damping * x }
+		return func(pr, res, invdeg *grb.Vector[float64]) error {
+			p := fuse.NewProgram(ctx)
+			fuse.EWiseAdd(p, pr, fuse.NoMask(), nil, plus, pr, res, grb.Desc{})
+			fuse.EWiseMult(p, contrib, fuse.NoMask(), nil, times, res, invdeg, grb.Desc{Replace: true})
+			fuse.VxM(p, res, fuse.NoMask(), nil, grb.PlusTimes[float64](), contrib, A, grb.Desc{Replace: true})
+			fuse.Apply(p, res, fuse.NoMask(), nil, scale, res, grb.Desc{Replace: true})
+			return p.Run()
 		}
-		sp := trace.Begin(trace.CatRound, "lagraph.pr-dag.round")
-		sp.Round = it + 1
-		p := fuse.NewProgram(ctx)
-		fuse.EWiseAdd(p, pr, fuse.NoMask(), nil, plus, pr, res, grb.Desc{})
-		fuse.EWiseMult(p, contrib, fuse.NoMask(), nil, times, res, invdeg, grb.Desc{Replace: true})
-		fuse.VxM(p, res, fuse.NoMask(), nil, grb.PlusTimes[float64](), contrib, A, grb.Desc{Replace: true})
-		fuse.Apply(p, res, fuse.NoMask(), nil, scale, res, grb.Desc{Replace: true})
-		err := p.Run()
-		sp.End()
-		if err != nil {
-			return nil, err
-		}
-	}
-	return pr, nil
+	})
 }
 
 // FusedSSSP is SSSP (bulk-synchronous delta-stepping) with the light-edge
@@ -164,114 +85,29 @@ func FusedPageRank(ctx *grb.Context, A *grb.Matrix[float64], opt PageRankOptions
 // entry counts between operations.
 func FusedSSSP[T grb.Number](ctx *grb.Context, A *grb.Matrix[T], src int, delta T) (SSSPResult[T], error) {
 	n := A.NRows()
-	if A.NCols() != n {
-		return SSSPResult[T]{}, fmt.Errorf("lagraph: FusedSSSP needs a square matrix, got %dx%d", n, A.NCols())
-	}
-	if src < 0 || src >= n {
-		return SSSPResult[T]{}, fmt.Errorf("lagraph: FusedSSSP source %d out of range [0,%d)", src, n)
-	}
-	if delta <= 0 {
-		return SSSPResult[T]{}, fmt.Errorf("lagraph: FusedSSSP delta must be positive")
-	}
-	inf := grb.MaxValue[T]()
-	minT := func(a, b T) T {
-		if a < b {
-			return a
-		}
-		return b
-	}
-	lt := func(a, b T) T {
-		if a < b {
-			return 1
-		}
-		return 0
-	}
-
-	init := trace.Begin(trace.CatRound, "lagraph.sssp-dag.init")
-	AL := grb.SelectMatrix(A, func(v T, _, _ int) bool { return v <= delta })
-	AH := grb.SelectMatrix(A, func(v T, _, _ int) bool { return v > delta })
-	if init.Enabled() {
-		var z T
-		es := 4 + int64(unsafe.Sizeof(z))
-		init.Bytes = (AL.NVals()+AH.NVals())*es + 2*int64(n+1)*8
-	}
-
-	t := grb.NewVector[T](n, grb.Dense)
-	if err := grb.AssignConstant(ctx, t, nil, nil, inf, grb.Desc{}); err != nil {
-		init.End()
-		return SSSPResult[T]{}, err
-	}
-	t.SetElement(src, 0)
-	init.End()
-
-	res := SSSPResult[T]{Dist: t}
-	lower, upper := T(0), delta
-	for {
-		if ctx.Stopped() {
-			return res, ErrTimeout
-		}
-		res.Buckets++
-		tmasked := grb.NewVector[T](n, grb.Sorted)
-		if err := grb.SelectVector(ctx, tmasked, nil, func(v T, _, _ int) bool { return v >= lower && v < upper }, t, grb.Desc{Replace: true}); err != nil {
-			return res, err
-		}
-		// Light-edge phase: relax within the bucket until stable.
-		for tmasked.NVals() > 0 {
-			if ctx.Stopped() {
-				return res, ErrTimeout
-			}
-			res.Rounds++
-			sp := trace.Begin(trace.CatRound, "lagraph.sssp-dag.round")
-			sp.Round = res.Rounds
-			sp.NNZIn = int64(tmasked.NVals())
-			err := func() error {
+	return deltaStepping(ctx, A, src, delta, "lagraph.sssp-dag", func(AL, AH *grb.Matrix[T]) ssspEngine[T] {
+		return ssspEngine[T]{
+			scratch: fresh[T](n),
+			light: func(t, tmasked *grb.Vector[T], upper T) (*grb.Vector[T], error) {
 				tReq := grb.NewVector[T](n, grb.Sorted)
 				improved := grb.NewVector[T](n, grb.Sorted)
 				next := grb.NewVector[T](n, grb.Sorted)
 				p := fuse.NewProgram(ctx)
 				p.Temp(tReq, improved)
 				fuse.VxM(p, tReq, fuse.NoMask(), nil, grb.MinPlus[T](), tmasked, AL, grb.Desc{Replace: true})
-				fuse.EWiseMult(p, improved, fuse.NoMask(), nil, lt, tReq, t, grb.Desc{Replace: true})
-				fuse.EWiseAdd(p, t, fuse.NoMask(), nil, minT, t, tReq, grb.Desc{})
+				fuse.EWiseMult(p, improved, fuse.NoMask(), nil, lessThan[T], tReq, t, grb.Desc{Replace: true})
+				fuse.EWiseAdd(p, t, fuse.NoMask(), nil, minOf[T], t, tReq, grb.Desc{})
 				fuse.Select(p, next, fuse.ValueOf(improved), func(v T, _, _ int) bool { return v < upper }, tReq, grb.Desc{Replace: true})
-				if err := p.Run(); err != nil {
-					return err
-				}
-				tmasked = next
-				return nil
-			}()
-			sp.NNZOut = int64(tmasked.NVals())
-			sp.End()
-			if err != nil {
-				return res, err
-			}
+				return next, p.Run()
+			},
+			heavy: func(t, tB *grb.Vector[T]) error {
+				tReq := grb.NewVector[T](n, grb.Sorted)
+				p := fuse.NewProgram(ctx)
+				p.Temp(tReq)
+				fuse.VxM(p, tReq, fuse.NoMask(), nil, grb.MinPlus[T](), tB, AH, grb.Desc{Replace: true})
+				fuse.EWiseAdd(p, t, fuse.NoMask(), nil, minOf[T], t, tReq, grb.Desc{})
+				return p.Run()
+			},
 		}
-		// Heavy-edge phase: relax once from everything settled in the bucket.
-		tB := grb.NewVector[T](n, grb.Sorted)
-		if err := grb.SelectVector(ctx, tB, nil, func(v T, _, _ int) bool { return v >= lower && v < upper }, t, grb.Desc{Replace: true}); err != nil {
-			return res, err
-		}
-		if tB.NVals() > 0 {
-			tReq := grb.NewVector[T](n, grb.Sorted)
-			p := fuse.NewProgram(ctx)
-			p.Temp(tReq)
-			fuse.VxM(p, tReq, fuse.NoMask(), nil, grb.MinPlus[T](), tB, AH, grb.Desc{Replace: true})
-			fuse.EWiseAdd(p, t, fuse.NoMask(), nil, minT, t, tReq, grb.Desc{})
-			if err := p.Run(); err != nil {
-				return res, err
-			}
-		}
-		// Advance to the bucket containing the smallest unsettled distance.
-		remaining := grb.NewVector[T](n, grb.Sorted)
-		if err := grb.SelectVector(ctx, remaining, nil, func(v T, _, _ int) bool { return v >= upper && v != inf }, t, grb.Desc{Replace: true}); err != nil {
-			return res, err
-		}
-		if remaining.NVals() == 0 {
-			break
-		}
-		m := grb.ReduceVector(ctx, grb.MinMonoid[T](), remaining)
-		lower = m / delta * delta // integer bucket floor (T is integral here)
-		upper = lower + delta
-	}
-	return res, nil
+	})
 }

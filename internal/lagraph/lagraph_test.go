@@ -1,12 +1,15 @@
 package lagraph
 
 import (
+	"errors"
 	"sync/atomic"
 	"testing"
 
+	"graphstudy/internal/adapt"
 	"graphstudy/internal/gen"
 	"graphstudy/internal/graph"
 	"graphstudy/internal/grb"
+	"graphstudy/internal/trace"
 	"graphstudy/internal/verify"
 )
 
@@ -67,22 +70,120 @@ func TestBFSTrivial(t *testing.T) {
 	}
 }
 
-func TestBFSErrors(t *testing.T) {
-	g := graph.FromEdges(3, [][2]uint32{{0, 1}})
-	A := grb.BoolMatrixFromGraph(g)
-	if _, _, err := BFS(grb.NewSerialContext(), A, 99); err == nil {
-		t.Fatal("out-of-range source accepted")
+// operands holds one graph in the three element types the round drivers
+// take: boolean for bfs, float for pagerank, uint32 weights for sssp.
+type operands struct {
+	b *grb.Matrix[bool]
+	f *grb.Matrix[float64]
+	w *grb.Matrix[uint32]
+}
+
+// driverCase is one exported round-driver entry point.
+type driverCase struct {
+	name   string
+	source bool // rooted at a source vertex (bfs, sssp)
+	delta  bool // takes a bucket width (sssp)
+	run    func(ctx *grb.Context, m operands, src int, delta uint32) error
+}
+
+// driverCases lists every exported entry point into the bfs, residual
+// pagerank and delta-stepping round drivers.
+func driverCases() []driverCase {
+	cfg := adapt.DefaultConfig()
+	opt := DefaultPageRankOptions()
+	return []driverCase{
+		{"BFS", true, false, func(ctx *grb.Context, m operands, src int, _ uint32) error {
+			_, _, err := BFS(ctx, m.b, src)
+			return err
+		}},
+		{"FusedBFS", true, false, func(ctx *grb.Context, m operands, src int, _ uint32) error {
+			_, _, err := FusedBFS(ctx, m.b, src)
+			return err
+		}},
+		{"AdaptiveBFS", true, false, func(ctx *grb.Context, m operands, src int, _ uint32) error {
+			_, _, err := AdaptiveBFS(ctx, m.b, src, cfg)
+			return err
+		}},
+		{"PageRankResidual", false, false, func(ctx *grb.Context, m operands, _ int, _ uint32) error {
+			_, err := PageRankResidual(ctx, m.f, opt)
+			return err
+		}},
+		{"FusedPageRank", false, false, func(ctx *grb.Context, m operands, _ int, _ uint32) error {
+			_, err := FusedPageRank(ctx, m.f, opt)
+			return err
+		}},
+		{"AdaptivePageRank", false, false, func(ctx *grb.Context, m operands, _ int, _ uint32) error {
+			_, err := AdaptivePageRank(ctx, m.f, opt, cfg)
+			return err
+		}},
+		{"PageRankResidualTraj", false, false, func(ctx *grb.Context, m operands, _ int, _ uint32) error {
+			_, _, err := PageRankResidualTraj(ctx, m.f, opt)
+			return err
+		}},
+		{"SSSP", true, true, func(ctx *grb.Context, m operands, src int, delta uint32) error {
+			_, err := SSSP(ctx, m.w, src, delta)
+			return err
+		}},
+		{"FusedSSSP", true, true, func(ctx *grb.Context, m operands, src int, delta uint32) error {
+			_, err := FusedSSSP(ctx, m.w, src, delta)
+			return err
+		}},
+		{"AdaptiveSSSP", true, true, func(ctx *grb.Context, m operands, src int, delta uint32) error {
+			_, err := AdaptiveSSSP(ctx, m.w, src, delta, cfg)
+			return err
+		}},
 	}
 }
 
+func pathOperands() operands {
+	g := graph.FromWeightedEdges(3, [][3]uint32{{0, 1, 1}, {1, 2, 1}})
+	return operands{grb.BoolMatrixFromGraph(g), grb.FloatMatrixFromGraph(g), grb.WeightMatrixFromGraph(g)}
+}
+
+// TestBFSErrors holds every round driver to its argument checks: a
+// non-square matrix, a source outside the graph and a non-positive delta
+// are errors, not panics or silent runs.
+func TestBFSErrors(t *testing.T) {
+	square := pathOperands()
+	wide := operands{
+		grb.NewMatrixFromCSR[bool](2, 3, make([]int64, 3), nil, nil),
+		grb.NewMatrixFromCSR[float64](2, 3, make([]int64, 3), nil, nil),
+		grb.NewMatrixFromCSR[uint32](2, 3, make([]int64, 3), nil, nil),
+	}
+	ctx := grb.NewSerialContext()
+	for _, c := range driverCases() {
+		if err := c.run(ctx, wide, 0, 4); err == nil {
+			t.Errorf("%s: 2x3 matrix accepted", c.name)
+		}
+		if c.source {
+			for _, src := range []int{-1, 3, 99} {
+				if err := c.run(ctx, square, src, 4); err == nil {
+					t.Errorf("%s: source %d accepted on 3 vertices", c.name, src)
+				}
+			}
+		}
+		if c.delta {
+			if err := c.run(ctx, square, 0, 0); err == nil {
+				t.Errorf("%s: zero delta accepted", c.name)
+			}
+		}
+		if err := c.run(ctx, square, 0, 4); err != nil {
+			t.Errorf("%s: valid arguments rejected: %v", c.name, err)
+		}
+	}
+}
+
+// TestBFSTimeout: every round driver checks the stop flag before its first
+// round and reports ErrTimeout.
 func TestBFSTimeout(t *testing.T) {
-	g := graph.FromEdges(3, [][2]uint32{{0, 1}, {1, 2}})
-	A := grb.BoolMatrixFromGraph(g)
+	m := pathOperands()
 	ctx := grb.NewSerialContext()
 	ctx.Stop = &atomic.Bool{}
 	ctx.Stop.Store(true)
-	if _, _, err := BFS(ctx, A, 0); err != ErrTimeout {
-		t.Fatalf("err = %v, want ErrTimeout", err)
+	for _, c := range driverCases() {
+		if err := c.run(ctx, m, 0, 4); !errors.Is(err, ErrTimeout) {
+			t.Errorf("%s: err = %v, want ErrTimeout", c.name, err)
+		}
 	}
 }
 
@@ -268,6 +369,50 @@ func TestSSSPErrors(t *testing.T) {
 	}
 	if _, err := SSSP(ctx, A, 0, uint32(0)); err == nil {
 		t.Fatal("zero delta accepted")
+	}
+}
+
+// TestSSSPInitBytesAgreeAcrossEngines: every delta-stepping engine splits
+// A into the same light and heavy matrices, so each must report the same
+// bytes materialized on its init span.
+func TestSSSPInitBytesAgreeAcrossEngines(t *testing.T) {
+	cfg := adapt.DefaultConfig()
+	engines := []struct {
+		span string
+		run  func(*grb.Context, *grb.Matrix[uint32], int, uint32) (SSSPResult[uint32], error)
+	}{
+		{"lagraph.sssp.init", SSSP[uint32]},
+		{"lagraph.sssp-dag.init", FusedSSSP[uint32]},
+		{"lagraph.sssp-adapt.init", func(ctx *grb.Context, A *grb.Matrix[uint32], src int, delta uint32) (SSSPResult[uint32], error) {
+			return AdaptiveSSSP(ctx, A, src, delta, cfg)
+		}},
+	}
+	for _, name := range []string{"rmat22", "road-USA-W"} {
+		in, err := gen.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := in.Build(gen.ScaleTest)
+		A := grb.WeightMatrixFromGraph(g)
+		var want int64
+		for i, e := range engines {
+			tr := trace.New()
+			trace.Install(tr)
+			_, err := e.run(grb.NewGaloisBLASContext(2), A, int(in.Source(g)), in.Delta())
+			trace.Install(nil)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", name, e.span, err)
+			}
+			st := tr.Summary().Find(trace.CatRound, e.span)
+			if st == nil || st.Bytes == 0 {
+				t.Fatalf("%s: no bytes on %s: %+v", name, e.span, st)
+			}
+			if i == 0 {
+				want = st.Bytes
+			} else if st.Bytes != want {
+				t.Errorf("%s: %s bytes = %d, %s bytes = %d", name, e.span, st.Bytes, engines[0].span, want)
+			}
+		}
 	}
 }
 

@@ -111,6 +111,75 @@ func PageRank(ctx *grb.Context, A *grb.Matrix[float64], opt PageRankOptions) (*g
 	return r, nil
 }
 
+// prStep is one engine's residual-pagerank iteration: fold res into pr,
+// then replace res with the damped push of res ./ outdeg along A.
+type prStep func(pr, res, invdeg *grb.Vector[float64]) error
+
+// residualPageRank is the one residual-pagerank round loop every engine
+// runs on. It checks the matrix, builds the reciprocal out-degrees, pr = 0
+// and res = (1-d)/n in the span+".init" span, and runs opt.Iterations
+// span+".round" spans of the step. start runs last inside the init span and
+// returns the engine's step.
+func residualPageRank(ctx *grb.Context, A *grb.Matrix[float64], opt PageRankOptions, span string, start func() prStep) (*grb.Vector[float64], error) {
+	n := A.NRows()
+	if A.NCols() != n {
+		return nil, fmt.Errorf("%s: needs a square matrix, got %dx%d", span, n, A.NCols())
+	}
+	if n == 0 {
+		return grb.NewVector[float64](0, grb.Dense), nil
+	}
+	init := trace.Begin(trace.CatRound, span+".init")
+	A.EnsureCSC() // the dense-vector vxm pulls through columns
+
+	invdeg, err := prInvDeg(ctx, A)
+	if err != nil {
+		init.End()
+		return nil, err
+	}
+	pr := grb.NewVector[float64](n, grb.Dense)
+	if err := grb.AssignConstant(ctx, pr, nil, nil, 0, grb.Desc{}); err != nil {
+		init.End()
+		return nil, err
+	}
+	res := grb.NewVector[float64](n, grb.Dense)
+	if err := grb.AssignConstant(ctx, res, nil, nil, (1-opt.Damping)/float64(n), grb.Desc{}); err != nil {
+		init.End()
+		return nil, err
+	}
+	step := start()
+	init.End()
+
+	roundSpan := span + ".round"
+	for it := 0; it < opt.Iterations; it++ {
+		if ctx.Stopped() {
+			return nil, ErrTimeout
+		}
+		sp := trace.Begin(trace.CatRound, roundSpan)
+		sp.Round = it + 1
+		err := step(pr, res, invdeg)
+		sp.End()
+		if err != nil {
+			return nil, err
+		}
+	}
+	return pr, nil
+}
+
+// prInvDeg computes the reciprocal out-degree vector (dense, 0 for dangling
+// vertices), the residual formulations' divisor.
+func prInvDeg(ctx *grb.Context, A *grb.Matrix[float64]) (*grb.Vector[float64], error) {
+	n := A.NRows()
+	outdeg := grb.ReduceRows(ctx, grb.PlusMonoid[float64](), A)
+	invdeg := grb.NewVector[float64](n, grb.Dense)
+	if err := grb.AssignConstant(ctx, invdeg, nil, nil, 0, grb.Desc{}); err != nil {
+		return nil, err
+	}
+	if err := grb.Apply(ctx, invdeg, nil, nil, func(x float64) float64 { return 1 / x }, outdeg, grb.Desc{}); err != nil {
+		return nil, err
+	}
+	return invdeg, nil
+}
+
 // PageRankResidual is the study's "gb-res" variant (Figure 3a): a residual
 // formulation matching the computation Lonestar's residual pagerank does,
 // written in the matrix API. The two residual operations per iteration
@@ -122,70 +191,51 @@ func PageRank(ctx *grb.Context, A *grb.Matrix[float64], opt PageRankOptions) (*g
 // Lonestar implementation it mirrors; compare its output against
 // lonestar.PageRankResidual, not verify.PageRank.
 func PageRankResidual(ctx *grb.Context, A *grb.Matrix[float64], opt PageRankOptions) (*grb.Vector[float64], error) {
-	n := A.NRows()
-	if A.NCols() != n {
-		return nil, fmt.Errorf("lagraph: PageRankResidual needs a square matrix, got %dx%d", n, A.NCols())
-	}
-	if n == 0 {
-		return grb.NewVector[float64](0, grb.Dense), nil
-	}
-	d := opt.Damping
-	base := (1 - d) / float64(n)
-	init := trace.Begin(trace.CatRound, "lagraph.pr-res.init")
-	A.EnsureCSC() // the dense-vector vxm pulls through columns
+	return residualPageRank(ctx, A, opt, "lagraph.pr-res", func() prStep {
+		return residualStep(ctx, A, opt.Damping)
+	})
+}
 
-	outdeg := grb.ReduceRows(ctx, grb.PlusMonoid[float64](), A)
-	invdeg := grb.NewVector[float64](n, grb.Dense)
-	if err := grb.AssignConstant(ctx, invdeg, nil, nil, 0, grb.Desc{}); err != nil {
-		init.End()
-		return nil, err
-	}
-	if err := grb.Apply(ctx, invdeg, nil, nil, func(x float64) float64 { return 1 / x }, outdeg, grb.Desc{}); err != nil {
-		init.End()
-		return nil, err
-	}
-
-	pr := grb.NewVector[float64](n, grb.Dense)
-	if err := grb.AssignConstant(ctx, pr, nil, nil, 0, grb.Desc{}); err != nil {
-		init.End()
-		return nil, err
-	}
-	res := grb.NewVector[float64](n, grb.Dense)
-	if err := grb.AssignConstant(ctx, res, nil, nil, base, grb.Desc{}); err != nil {
-		init.End()
-		return nil, err
-	}
-
-	contrib := grb.NewVector[float64](n, grb.Dense)
-	init.End()
+// residualStep is PageRankResidual's iteration, four eager API calls.
+func residualStep(ctx *grb.Context, A *grb.Matrix[float64], d float64) prStep {
+	contrib := grb.NewVector[float64](A.NRows(), grb.Dense)
 	plus := func(a, b float64) float64 { return a + b }
-	for it := 0; it < opt.Iterations; it++ {
-		if ctx.Stopped() {
-			return nil, ErrTimeout
+	return func(pr, res, invdeg *grb.Vector[float64]) error {
+		// Pass 1 over res: pr += res.
+		if err := grb.EWiseAdd(ctx, pr, nil, nil, plus, pr, res, grb.Desc{}); err != nil {
+			return err
 		}
-		sp := trace.Begin(trace.CatRound, "lagraph.pr-res.round")
-		sp.Round = it + 1
-		err := func() error {
-			// Pass 1 over res: pr += res.
-			if err := grb.EWiseAdd(ctx, pr, nil, nil, plus, pr, res, grb.Desc{}); err != nil {
-				return err
-			}
-			// Pass 2 over res: contrib = res ./ outdeg.
-			if err := grb.EWiseMult(ctx, contrib, nil, nil, func(a, b float64) float64 { return a * b }, res, invdeg, grb.Desc{Replace: true}); err != nil {
-				return err
-			}
-			// res = d * (A' contrib).
-			if err := grb.VxM(ctx, res, nil, nil, grb.PlusTimes[float64](), contrib, A, grb.Desc{Replace: true}); err != nil {
-				return err
-			}
-			return grb.Apply(ctx, res, nil, nil, func(x float64) float64 { return d * x }, res, grb.Desc{Replace: true})
-		}()
-		sp.End()
-		if err != nil {
-			return nil, err
+		// Pass 2 over res: contrib = res ./ outdeg.
+		if err := grb.EWiseMult(ctx, contrib, nil, nil, func(a, b float64) float64 { return a * b }, res, invdeg, grb.Desc{Replace: true}); err != nil {
+			return err
 		}
+		// res = d * (A' contrib).
+		if err := grb.VxM(ctx, res, nil, nil, grb.PlusTimes[float64](), contrib, A, grb.Desc{Replace: true}); err != nil {
+			return err
+		}
+		return grb.Apply(ctx, res, nil, nil, func(x float64) float64 { return d * x }, res, grb.Desc{Replace: true})
 	}
-	return pr, nil
+}
+
+// PageRankResidualTraj is PageRankResidual with the residual trajectory
+// captured: traj[k] is the residual at the start of iteration k (so
+// pr = traj[0] + ... + traj[T-1], folded in iteration order). It runs
+// PageRankResidual's step, so the returned pr is bit-identical to it; the
+// trajectory is what IncrementalPageRank patches on the next snapshot.
+func PageRankResidualTraj(ctx *grb.Context, A *grb.Matrix[float64], opt PageRankOptions) (*grb.Vector[float64], []*grb.Vector[float64], error) {
+	var traj []*grb.Vector[float64]
+	pr, err := residualPageRank(ctx, A, opt, "lagraph.pr-res", func() prStep {
+		step := residualStep(ctx, A, opt.Damping)
+		traj = make([]*grb.Vector[float64], 0, opt.Iterations)
+		return func(pr, res, invdeg *grb.Vector[float64]) error {
+			traj = append(traj, res.Dup())
+			return step(pr, res, invdeg)
+		}
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	return pr, traj, nil
 }
 
 // Ranks extracts a dense rank slice for verification (implicit entries 0).

@@ -3,46 +3,28 @@ package lagraph
 import (
 	"testing"
 
+	"graphstudy/internal/adapt"
 	"graphstudy/internal/gen"
 	"graphstudy/internal/grb"
+	"graphstudy/internal/trace"
 	"graphstudy/internal/verify"
 )
 
-func TestBFSPushPullMatchesReference(t *testing.T) {
-	for gname, g := range testGraphs(t) {
-		A := grb.BoolMatrixFromGraph(g)
-		src := g.MaxOutDegreeVertex()
-		want := verify.BFSLevels(g, src)
-		for cname, ctx := range testContexts() {
-			dist, rounds, _, err := BFSPushPull(ctx, A, int(src))
-			if err != nil {
-				t.Fatalf("%s/%s: %v", gname, cname, err)
-			}
-			if rounds < 1 {
-				t.Fatal("no rounds")
-			}
-			got := BFSLevels(dist)
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("%s/%s: level[%d] = %d, want %d", gname, cname, i, got[i], want[i])
-				}
-			}
-		}
-	}
-}
-
-func TestBFSPushPullActuallyPulls(t *testing.T) {
-	// From a power-law hub the frontier floods immediately: at least one
-	// pull round must trigger.
+func TestAdaptiveBFSActuallyPulls(t *testing.T) {
+	// From a power-law hub the frontier floods immediately: the free-running
+	// engine must pull at least one round.
 	in, _ := gen.ByName("rmat22")
 	g := in.Build(gen.ScaleTest)
 	A := grb.BoolMatrixFromGraph(g)
-	_, _, pulls, err := BFSPushPull(grb.NewGaloisBLASContext(4), A, int(g.MaxOutDegreeVertex()))
+	tr := trace.New()
+	trace.Install(tr)
+	_, _, err := AdaptiveBFS(grb.NewGaloisBLASContext(4), A, int(g.MaxOutDegreeVertex()), adapt.DefaultConfig())
+	trace.Install(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pulls == 0 {
-		t.Fatal("expected a pull round on a flooding frontier")
+	if st := tr.Summary().Find(trace.CatAdapt, "adapt.direction.pull"); st == nil || st.Count == 0 {
+		t.Fatalf("expected a pull round on a flooding frontier: %+v", st)
 	}
 }
 
@@ -80,28 +62,5 @@ func TestBellmanFordNeedsMoreRoundsThanDeltaStepping(t *testing.T) {
 	}
 	if bf.Rounds < 10 {
 		t.Fatalf("bellman-ford rounds suspiciously low: %d", bf.Rounds)
-	}
-}
-
-func TestBFSFusedMatchesReference(t *testing.T) {
-	for gname, g := range testGraphs(t) {
-		A := grb.BoolMatrixFromGraph(g)
-		src := g.MaxOutDegreeVertex()
-		want := verify.BFSLevels(g, src)
-		for cname, ctx := range testContexts() {
-			dist, rounds, err := BFSFused(ctx, A, int(src))
-			if err != nil {
-				t.Fatalf("%s/%s: %v", gname, cname, err)
-			}
-			if rounds < 1 {
-				t.Fatal("no rounds")
-			}
-			got := BFSLevels(dist)
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("%s/%s: level[%d] = %d, want %d", gname, cname, i, got[i], want[i])
-				}
-			}
-		}
 	}
 }

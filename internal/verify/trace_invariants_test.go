@@ -8,10 +8,10 @@ package verify_test
 import (
 	"testing"
 
+	"graphstudy/internal/adapt"
 	"graphstudy/internal/core"
 	"graphstudy/internal/gen"
 	"graphstudy/internal/grb"
-	"graphstudy/internal/lagraph"
 	"graphstudy/internal/trace"
 )
 
@@ -82,55 +82,39 @@ func TestPRMatrixMaterializesMore(t *testing.T) {
 	}
 }
 
-// TestPullDensifiesMoreThanPushPull: the pure-pull BFS densifies its
-// frontier every round; the direction-optimized variant densifies only on
-// the few dense rounds. The grb.Convert.dense spans carry the cost.
+// TestPullDensifiesMoreThanPushPull: a BFS forced to pull every round
+// densifies its (sparse) frontier every round; the direction-optimized run
+// densifies only on the few dense rounds. The grb.Convert.dense spans carry
+// the cost.
 func TestPullDensifiesMoreThanPushPull(t *testing.T) {
 	in, err := gen.ByName("rmat22")
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := core.Prepare(in, gen.ScaleTest)
-	ctx := grb.NewSuiteSparseContext(2)
-	src := int(p.Src)
-
-	densifyBytes := func(run func() error) int64 {
-		tr := trace.New()
-		trace.Install(tr)
-		defer trace.Install(nil)
-		if err := run(); err != nil {
-			t.Fatal(err)
+	run := func(cfg adapt.Config) core.Result {
+		r := core.Run(core.RunSpec{
+			App: core.BFS, System: core.SS, Variant: core.VAdaptive, Input: in,
+			Scale: gen.ScaleTest, Threads: 2, Trace: trace.New(), Adapt: &cfg,
+		})
+		if r.Outcome != core.OK {
+			t.Fatalf("bfs/SS/adaptive: outcome %v err %v", r.Outcome, r.Err)
 		}
-		st := tr.Summary().Find(trace.CatKernel, "grb.Convert.dense")
-		if st == nil {
-			return 0
+		return r
+	}
+	densifyBytes := func(r core.Result) int64 {
+		if st := r.Trace.Find(trace.CatKernel, "grb.Convert.dense"); st != nil {
+			return st.Bytes
 		}
-		return st.Bytes
+		return 0
 	}
-
-	var pullLv, ppLv *grb.Vector[int32]
-	pull := densifyBytes(func() error {
-		var err error
-		pullLv, _, err = lagraph.BFSPull(ctx, p.ABool(), src)
-		return err
-	})
-	pp := densifyBytes(func() error {
-		var err error
-		ppLv, _, _, err = lagraph.BFSPushPull(ctx, p.ABool(), src)
-		return err
-	})
-	if pull <= pp {
-		t.Errorf("pure-pull bfs densified %d bytes, push-pull %d; pull must pay more", pull, pp)
+	pull := run(adapt.DefaultConfig().Force(adapt.Pull, grb.List))
+	auto := run(adapt.DefaultConfig())
+	if p, a := densifyBytes(pull), densifyBytes(auto); p <= a {
+		t.Errorf("pure-pull bfs densified %d bytes, direction-optimized %d; pull must pay more", p, a)
 	}
-	// Both strategies must still agree on the answer.
-	a, b := lagraph.BFSLevels(pullLv), lagraph.BFSLevels(ppLv)
-	if len(a) != len(b) {
-		t.Fatalf("level vector lengths differ: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("levels diverge at vertex %d: %d vs %d", i, a[i], b[i])
-		}
+	// Both strategies must still agree on the levels.
+	if pull.Check != auto.Check {
+		t.Errorf("levels diverge: digest %x forced pull vs %x auto", pull.Check, auto.Check)
 	}
 }
 
